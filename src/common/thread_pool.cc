@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 #include "common/error.h"
@@ -43,7 +42,10 @@ void ThreadPool::WorkerMain() {
 
 void ThreadPool::RunTasks(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
-  std::atomic<std::size_t> remaining{tasks.size()};
+  // Completion state lives on this frame, so a worker decrements under
+  // done_mutex: the caller cannot observe zero, return and destroy the
+  // mutex while the last worker still holds it.
+  std::size_t remaining = tasks.size();
   std::mutex done_mutex;
   std::condition_variable done_cv;
   std::exception_ptr first_error;
@@ -60,17 +62,15 @@ void ThreadPool::RunTasks(std::vector<std::function<void()>> tasks) {
           std::lock_guard<std::mutex> elock(error_mutex);
           if (!first_error) first_error = std::current_exception();
         }
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> dlock(done_mutex);
-          done_cv.notify_all();
-        }
+        std::lock_guard<std::mutex> dlock(done_mutex);
+        if (--remaining == 0) done_cv.notify_all();
       });
     }
   }
   cv_.notify_all();
 
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -21,6 +21,16 @@ inline std::uint64_t FromI(std::int64_t v) {
   return static_cast<std::uint64_t>(v);
 }
 
+/// Integer reduction add/mul in two's-complement arithmetic: the result
+/// bits of a signed op that does not overflow, without the undefined
+/// behaviour of one that does.
+inline std::int64_t WrapAdd(std::int64_t x, std::int64_t y) {
+  return AsI(FromI(x) + FromI(y));
+}
+inline std::int64_t WrapMul(std::int64_t x, std::int64_t y) {
+  return AsI(FromI(x) * FromI(y));
+}
+
 /// Reads element `local` of a segment as raw register bits. Loads are
 /// relaxed-atomic: GPU kernels may legally race on the same element (benign
 /// races as in SHOC's BFS), which plain loads would make UB on the host.
@@ -204,8 +214,8 @@ std::uint64_t CombineRaw(RedOp op, ValType type, std::uint64_t a,
   const std::int64_t y = AsI(ElementRawToReg(b, type));
   std::int64_t r = 0;
   switch (op) {
-    case RedOp::kAdd: r = x + y; break;
-    case RedOp::kMul: r = x * y; break;
+    case RedOp::kAdd: r = WrapAdd(x, y); break;
+    case RedOp::kMul: r = WrapMul(x, y); break;
     case RedOp::kMin: r = x < y ? x : y; break;
     case RedOp::kMax: r = x > y ? x : y; break;
   }
@@ -289,12 +299,14 @@ void CombineRawSpan(RedOp op, ValType type, std::uint64_t* acc,
   }
   switch (op) {
     case RedOp::kAdd:
-      CombineSpanInt(type, acc, src, n,
-                     [](std::int64_t x, std::int64_t y) { return x + y; });
+      CombineSpanInt(type, acc, src, n, [](std::int64_t x, std::int64_t y) {
+        return WrapAdd(x, y);
+      });
       break;
     case RedOp::kMul:
-      CombineSpanInt(type, acc, src, n,
-                     [](std::int64_t x, std::int64_t y) { return x * y; });
+      CombineSpanInt(type, acc, src, n, [](std::int64_t x, std::int64_t y) {
+        return WrapMul(x, y);
+      });
       break;
     case RedOp::kMin:
       CombineSpanInt(type, acc, src, n,

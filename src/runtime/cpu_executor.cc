@@ -1,16 +1,15 @@
 #include "runtime/cpu_executor.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <mutex>
 
 #include "common/error.h"
 #include "ir/exec.h"
+#include "runtime/launch.h"
 
 namespace accmg::runtime {
 
-using translator::EvalIndexExpr;
 using translator::HostArray;
 using translator::HostEnv;
 using translator::TypedValue;
@@ -19,48 +18,29 @@ CpuExecutor::CpuExecutor(sim::Platform& platform) : platform_(platform) {}
 
 void CpuExecutor::RunOffload(const translator::LoopOffload& offload,
                              HostEnv& env, const HostArrayResolver& resolve) {
-  const std::int64_t lower = EvalIndexExpr(*offload.lower_bound, env);
-  std::int64_t upper = EvalIndexExpr(*offload.upper_bound, env);
-  if (offload.upper_inclusive) ++upper;
-  const std::int64_t total = std::max<std::int64_t>(0, upper - lower);
+  const LaunchValues values = ResolveLaunchValues(
+      offload, env,
+      [&](const frontend::VarDecl& decl) { return resolve(decl).count; });
 
   ir::KernelExec exec(offload.kernel);
-  exec.iteration_offset = lower;
-
-  for (std::size_t s = 0; s < offload.scalars.size(); ++s) {
-    const TypedValue value = env.GetScalar(*offload.scalars[s].decl);
-    exec.scalar_values[s] = ir::EncodeScalar(offload.kernel.scalars[s].type,
-                                             value.AsDouble(), value.AsInt());
-  }
-
-  std::vector<HostArray> arrays(offload.arrays.size());
+  values.BindTo(exec);
   for (std::size_t a = 0; a < offload.arrays.size(); ++a) {
-    arrays[a] = resolve(*offload.arrays[a].decl);
+    const HostArray array = resolve(*offload.arrays[a].decl);
     ir::ArrayBinding& binding = exec.bindings[a];
-    binding.data = static_cast<std::byte*>(arrays[a].data);
+    binding.data = static_cast<std::byte*>(array.data);
     binding.lo = 0;
-    binding.hi = arrays[a].count;
+    binding.hi = array.count;
     binding.write_lo = 0;
-    binding.write_hi = arrays[a].count;
-    binding.logical_size = arrays[a].count;
-  }
-
-  for (std::size_t r = 0; r < offload.array_reds.size(); ++r) {
-    const auto& red = offload.array_reds[r];
-    const HostArray dest = resolve(*red.decl);
-    exec.array_red_lower[r] =
-        red.lower != nullptr ? EvalIndexExpr(*red.lower, env) : 0;
-    exec.array_red_length[r] =
-        red.length != nullptr ? EvalIndexExpr(*red.length, env)
-                              : dest.count - exec.array_red_lower[r];
+    binding.write_hi = array.count;
+    binding.logical_size = array.count;
   }
   exec.ResetOutputs();
 
   sim::KernelStats stats;
   std::mutex stats_mutex;
-  if (total > 0) {
+  if (values.total > 0) {
     platform_.workers().ParallelForChunks(
-        0, total, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        0, values.total, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
           sim::KernelStats local;
           exec.Execute(lo, hi, local);
           std::lock_guard<std::mutex> lock(stats_mutex);
@@ -80,40 +60,12 @@ void CpuExecutor::RunOffload(const translator::LoopOffload& offload,
 
   // Scalar reductions.
   for (std::size_t r = 0; r < offload.scalar_reds.size(); ++r) {
-    const auto& red = offload.scalar_reds[r];
     const auto& slot = offload.kernel.scalar_reductions[r];
-    const TypedValue initial = env.GetScalar(*red.decl);
-    std::uint64_t acc;
-    if (ir::IsFloat(slot.type)) {
-      const double d = slot.type == ir::ValType::kF32
-                           ? static_cast<float>(initial.AsDouble())
-                           : initial.AsDouble();
-      acc = slot.type == ir::ValType::kF32
-                ? std::bit_cast<std::uint32_t>(static_cast<float>(d))
-                : std::bit_cast<std::uint64_t>(d);
-    } else {
-      acc = slot.type == ir::ValType::kI32
-                ? static_cast<std::uint32_t>(
-                      static_cast<std::int32_t>(initial.AsInt()))
-                : static_cast<std::uint64_t>(initial.AsInt());
-    }
-    acc = ir::CombineRaw(slot.op, slot.type, acc,
-                         exec.scalar_red_results()[r]);
-    TypedValue result;
-    if (ir::IsFloat(slot.type)) {
-      const double v = slot.type == ir::ValType::kF32
-                           ? std::bit_cast<float>(
-                                 static_cast<std::uint32_t>(acc))
-                           : std::bit_cast<double>(acc);
-      result = TypedValue::OfDouble(v, slot.type);
-    } else {
-      const std::int64_t v =
-          slot.type == ir::ValType::kI32
-              ? static_cast<std::int32_t>(static_cast<std::uint32_t>(acc))
-              : static_cast<std::int64_t>(acc);
-      result = TypedValue::OfInt(v, slot.type);
-    }
-    env.SetScalar(*red.decl, result);
+    const std::uint64_t acc =
+        ir::CombineRaw(slot.op, slot.type, values.red_initial[r],
+                       exec.scalar_red_results()[r]);
+    env.SetScalar(*offload.scalar_reds[r].decl,
+                  TypedValue::FromElementBits(slot.type, acc));
   }
 
   // Array reductions fold straight into host memory.
@@ -126,7 +78,7 @@ void CpuExecutor::RunOffload(const translator::LoopOffload& offload,
     const auto& partial = exec.array_red_partials()[r];
     for (std::size_t j = 0; j < partial.size(); ++j) {
       const std::size_t index =
-          static_cast<std::size_t>(exec.array_red_lower[r]) + j;
+          static_cast<std::size_t>(values.red_lower[r]) + j;
       std::uint64_t current = 0;
       std::memcpy(&current, base + index * elem, elem);
       const std::uint64_t merged =

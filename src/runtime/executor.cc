@@ -1,17 +1,15 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
-#include <cstring>
 #include <exception>
 #include <thread>
-
-#include <bit>
 
 #include "common/error.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "ir/exec.h"
+#include "runtime/launch.h"
 #include "runtime/recovery.h"
 #include "runtime/reduction.h"
 
@@ -24,46 +22,130 @@ using translator::TypedValue;
 
 namespace {
 
-/// TypedValue -> raw element bits of `type` (as CombineRaw expects).
-std::uint64_t ToElementRaw(ir::ValType type, const TypedValue& value) {
-  switch (type) {
-    case ir::ValType::kI32:
-      return static_cast<std::uint32_t>(
-          static_cast<std::int32_t>(value.AsInt()));
-    case ir::ValType::kI64:
-      return static_cast<std::uint64_t>(value.AsInt());
-    case ir::ValType::kF32: {
-      const float f = static_cast<float>(value.AsDouble());
-      return std::bit_cast<std::uint32_t>(f);
-    }
-    case ir::ValType::kF64:
-      return std::bit_cast<std::uint64_t>(value.AsDouble());
+/// The paper's equal contiguous division (Section IV-B2): part g of `parts`
+/// is [floor(total*g/parts), floor(total*(g+1)/parts)).
+std::vector<Range> SplitEqual(std::int64_t total, std::size_t parts) {
+  const auto n = static_cast<std::int64_t>(parts);
+  std::vector<Range> tasks(parts);
+  for (std::int64_t g = 0; g < n; ++g) {
+    tasks[static_cast<std::size_t>(g)] =
+        Range{total * g / n, total * (g + 1) / n};
   }
-  return 0;
+  return tasks;
 }
 
-/// Raw element bits of `type` -> TypedValue.
-TypedValue FromElementRaw(ir::ValType type, std::uint64_t raw) {
-  switch (type) {
-    case ir::ValType::kI32:
-      return TypedValue::OfInt(
-          static_cast<std::int32_t>(static_cast<std::uint32_t>(raw)),
-          ir::ValType::kI32);
-    case ir::ValType::kI64:
-      return TypedValue::OfInt(static_cast<std::int64_t>(raw),
-                               ir::ValType::kI64);
-    case ir::ValType::kF32:
-      return TypedValue::OfDouble(
-          std::bit_cast<float>(static_cast<std::uint32_t>(raw)),
-          ir::ValType::kF32);
-    case ir::ValType::kF64:
-      return TypedValue::OfDouble(std::bit_cast<double>(raw),
-                                  ir::ValType::kF64);
+/// Contiguous division proportional to `weights` (TaskMapper::kSpec and
+/// kMeasured): boundary g sits at floor(total * prefix(g) / sum), where
+/// prefix(g) sums weights[0..g-1], and the last part ends at `total`.
+std::vector<Range> SplitProportional(std::int64_t total,
+                                     const std::vector<double>& weights) {
+  std::vector<double> prefix(weights.size() + 1, 0);
+  for (std::size_t g = 0; g < weights.size(); ++g) {
+    prefix[g + 1] = prefix[g] + weights[g];
   }
-  return TypedValue{};
+  std::vector<Range> tasks(weights.size());
+  std::int64_t cursor = 0;
+  for (std::size_t g = 0; g < weights.size(); ++g) {
+    const auto hi = g + 1 == weights.size()
+                        ? total
+                        : static_cast<std::int64_t>(static_cast<double>(total) *
+                                                    prefix[g + 1] /
+                                                    prefix.back());
+    tasks[g] = Range{cursor, std::max(cursor, hi)};
+    cursor = tasks[g].hi;
+  }
+  return tasks;
+}
+
+/// One array of the offload as placed for this launch.
+struct BoundArray {
+  ManagedArray* array = nullptr;
+  const translator::ArrayConfig* config = nullptr;
+  bool distributed = false;
+};
+
+/// Launch-time localaccess window of a distributed array — the element
+/// stride per iteration and the halo extents in elements — with its write
+/// facts, as the boundary splitter takes it (boundaries_exact is set once
+/// ownership is known).
+ArraySplitInput ResolveWindow(const translator::ArrayConfig& config,
+                              const ManagedArray& array, const HostEnv& env) {
+  auto eval_or_zero = [&](const frontend::Expr* expr) -> std::int64_t {
+    return expr != nullptr ? EvalIndexExpr(*expr, env) : 0;
+  };
+  ArraySplitInput window;
+  window.distributed = true;
+  window.is_written = config.is_written;
+  window.has_affine_writes = config.has_affine_writes;
+  window.write_coeff = config.write_coeff;
+  window.write_min_off = config.write_min_off;
+  window.write_max_off = config.write_max_off;
+  if (config.cols != nullptr) {
+    // 2-D row-block window: the loop iterates rows of a row-major grid, so
+    // the element stride is the row length and the halo extents are whole
+    // rows. Row blocks are contiguous, which is what lets every 1-D range
+    // (loading, ownership, halo refresh) apply as-is.
+    const std::int64_t cols = EvalIndexExpr(*config.cols, env);
+    ACCMG_REQUIRE(cols >= 1, "localaccess cols must be >= 1");
+    if (array.is_2d()) {
+      ACCMG_REQUIRE(cols == array.cols(),
+                    "localaccess cols(" + std::to_string(cols) +
+                        ") disagrees with the data clause shape of '" +
+                        array.name() + "' (" + std::to_string(array.cols()) +
+                        " columns)");
+    }
+    window.stride = cols;
+    window.left = eval_or_zero(config.left) * cols;
+    window.right = eval_or_zero(config.right) * cols;
+    if (config.is_written && config.writes_proven_local) {
+      // 2-D row-block arrays carry a symbolic row-locality proof instead of
+      // const-folded affine write facts: iteration i writes only within its
+      // own row [cols*i, cols*i + cols - 1], i.e. coeff = cols with offsets
+      // [0, cols - 1].
+      window.has_affine_writes = true;
+      window.write_coeff = cols;
+      window.write_min_off = 0;
+      window.write_max_off = cols - 1;
+    }
+  } else {
+    window.stride =
+        config.stride != nullptr ? EvalIndexExpr(*config.stride, env) : 1;
+    window.left = eval_or_zero(config.left);
+    window.right = eval_or_zero(config.right);
+  }
+  ACCMG_REQUIRE(window.stride >= 1, "localaccess stride must be >= 1");
+  ACCMG_REQUIRE(window.left >= 0 && window.right >= 0,
+                "localaccess halo extents must be >= 0");
+  return window;
 }
 
 }  // namespace
+
+/// Everything one offload's stages hand each other.
+struct Executor::OffloadStep {
+  const LoopOffload& offload;
+  HostEnv& env;
+  const ArrayResolver& resolve;
+  LaunchValues values;
+
+  std::vector<Range> tasks;                   ///< map: iterations per device
+  std::vector<BoundArray> bound;              ///< place: parallel to arrays
+  std::vector<ArraySplitInput> split_inputs;  ///< place: distributed arrays
+
+  /// launch: when every used array's non-halo contents are ready, and when
+  /// in-flight halo refreshes have landed too (both 0 under BSP).
+  double bulk_gate = 0;
+  double halo_gate = 0;
+  std::vector<SplitPlan> plans;
+  std::vector<std::unique_ptr<ir::KernelExec>> execs;
+  /// Measured-mapper epoch: per-device durations are taken against the
+  /// clock at launch issue, so loading skew that already advanced the clock
+  /// is not charged to any one device's kernel speed.
+  double launch_floor = 0;
+  std::vector<double> interior_end;  ///< end of the interior (or only) launch
+  std::vector<double> device_end;    ///< end of the device's last launch
+  double kernel_done = 0;            ///< max of device_end
+};
 
 Executor::Executor(sim::Platform& platform, ExecOptions options,
                    std::vector<int> devices)
@@ -221,105 +303,90 @@ void Executor::RunOffloadWithRecovery(const LoopOffload& offload,
   }
 }
 
+void Executor::EndStage(sim::TimeCategory category, double end) {
+  if (async()) {
+    platform_.clock().AdvanceTo(end, category);
+  } else {
+    platform_.Barrier(category);
+  }
+}
+
+Executor::ArrayReady Executor::ReadyOf(const ManagedArray* array) const {
+  auto it = ready_.find(array);
+  return it == ready_.end() ? ArrayReady{} : it->second;
+}
+
+void Executor::MarkReady(const ManagedArray* array, double bulk,
+                         double halo) {
+  if (!async()) return;
+  // Monotonic: a reduction destination already carries its broadcast end,
+  // which its coherence step must not lower.
+  ArrayReady& state = ready_[array];
+  state.bulk = std::max(state.bulk, bulk);
+  state.halo = std::max({state.halo, state.bulk, halo});
+  pending_comm_end_ = std::max(pending_comm_end_, state.halo);
+}
+
 void Executor::RunOffloadImpl(const LoopOffload& offload, HostEnv& env,
                               const ArrayResolver& resolve) {
   trace::Span offload_span("offload:" + offload.name,
                            trace::category::kOffload);
-  const std::int64_t lower = EvalIndexExpr(*offload.lower_bound, env);
-  std::int64_t upper = EvalIndexExpr(*offload.upper_bound, env);
-  if (offload.upper_inclusive) ++upper;
-  const std::int64_t total = std::max<std::int64_t>(0, upper - lower);
-  const auto num_devices = static_cast<std::int64_t>(devices_.size());
+  OffloadStep step{offload, env, resolve,
+                   ResolveLaunchValues(offload, env,
+                                       [&](const frontend::VarDecl& decl) {
+                                         return resolve(decl).count();
+                                       })};
+  MapTasks(step);
+  PlaceArrays(step);
+  LaunchKernels(step);
+  MeasureThroughput(step);
+  // Reduction combines bill transfers under the reduction category; the
+  // comm-manager calls of the cohere stage override it with their own.
+  trace::PhaseScope reduction_phase(trace::category::kReduction);
+  CombineReductions(step);
+  Cohere(step);
+}
 
-  // --- 1. Task mapping: equal contiguous division (Section IV-B2),
-  // throughput-weighted division from the spec table (extension), or
-  // measured-throughput rebalancing from the previous execution's per-device
-  // kernel timings (ExecOptions::mapper == kMeasured). ---
-  std::vector<Range> tasks(devices_.size());
-  bool measured_split = false;
-  if (options_.mapper == TaskMapper::kMeasured && devices_.size() > 1 &&
-      total > 0 && mapper_speed_.size() == devices_.size()) {
-    double total_speed = 0;
-    std::vector<double> prefix(devices_.size() + 1, 0);
-    for (std::size_t g = 0; g < devices_.size(); ++g) {
-      total_speed += mapper_speed_[g];
-      prefix[g + 1] = total_speed;
+// --- Map: one contiguous task per device (Section IV-B2 plus the spec and
+// measured-throughput mappers). ---
+void Executor::MapTasks(OffloadStep& step) {
+  const std::int64_t total = step.values.total;
+  std::vector<double> weights;  // empty: equal division
+  if (options_.mapper == TaskMapper::kSpec) {
+    for (int d : devices_) {
+      weights.push_back(platform_.device(d).spec().instr_per_sec);
     }
-    std::int64_t cursor = 0;
-    for (std::size_t g = 0; g < devices_.size(); ++g) {
-      const auto hi =
-          g + 1 == devices_.size()
-              ? total
-              : static_cast<std::int64_t>(static_cast<double>(total) *
-                                          prefix[g + 1] / total_speed);
-      tasks[g] = Range{cursor, std::max(cursor, hi)};
-      cursor = tasks[g].hi;
-    }
-    std::vector<Range>& last = mapper_last_tasks_[offload.id];
-    bool same = last.size() == tasks.size();
-    for (std::size_t g = 0; same && g < tasks.size(); ++g) {
-      same = last[g].lo == tasks[g].lo && last[g].hi == tasks[g].hi;
-    }
-    if (!same) {
-      static metrics::Counter& rebalances =
-          metrics::Registry::Global().counter("mapper.rebalances");
-      rebalances.Add();
-      last = tasks;
-    }
-    measured_split = true;
-    static metrics::Counter& measured_splits =
-        metrics::Registry::Global().counter("mapper.measured_splits");
-    measured_splits.Add();
+  } else if (options_.mapper == TaskMapper::kMeasured && total > 0) {
+    weights = mapper_speed_;  // empty until the table is frozen
   }
-  if (measured_split) {
-    // Split chosen above from measured per-device throughput.
-  } else if (options_.weighted_task_mapping) {
-    double total_weight = 0;
-    std::vector<double> prefix(devices_.size() + 1, 0);
-    for (std::size_t g = 0; g < devices_.size(); ++g) {
-      total_weight += platform_.device(devices_[g]).spec().instr_per_sec;
-      prefix[g + 1] = total_weight;
-    }
-    std::int64_t cursor = 0;
-    for (std::size_t g = 0; g < devices_.size(); ++g) {
-      const auto hi =
-          g + 1 == devices_.size()
-              ? total
-              : static_cast<std::int64_t>(
-                    static_cast<double>(total) * prefix[g + 1] / total_weight);
-      tasks[g] = Range{cursor, std::max(cursor, hi)};
-      cursor = tasks[g].hi;
-    }
-  } else {
-    for (std::int64_t g = 0; g < num_devices; ++g) {
-      tasks[static_cast<std::size_t>(g)] =
-          Range{total * g / num_devices, total * (g + 1) / num_devices};
-    }
+  if (weights.empty()) {
+    step.tasks = SplitEqual(total, devices_.size());
+    return;
   }
+  step.tasks = SplitProportional(total, weights);
+  if (options_.mapper != TaskMapper::kMeasured) return;
+  std::vector<Range>& last = mapper_last_tasks_[step.offload.id];
+  if (last != step.tasks) {
+    static metrics::Counter& rebalances =
+        metrics::Registry::Global().counter("mapper.rebalances");
+    rebalances.Add();
+    last = step.tasks;
+  }
+  static metrics::Counter& measured_splits =
+      metrics::Registry::Global().counter("mapper.measured_splits");
+  measured_splits.Add();
+}
 
-  const bool async = options_.async_pipeline;
-
-  // --- 2. Placement requirements per array + data loading. ---
-  struct BoundArray {
-    ManagedArray* array = nullptr;
-    const translator::ArrayConfig* config = nullptr;
-    bool distributed = false;
-    // Launch-time localaccess values and ownership-boundary exactness, kept
-    // for the async pipeline's boundary/interior splitter.
-    std::int64_t stride = 1;
-    std::int64_t left = 0;
-    std::int64_t right = 0;
-    bool boundaries_exact = false;
-  };
-  std::vector<BoundArray> bound;
-  bound.reserve(offload.arrays.size());
+// --- Place: placement requirements per array + data loading (IV-C). ---
+void Executor::PlaceArrays(OffloadStep& step) {
+  const std::size_t n = devices_.size();
+  const std::int64_t lower = step.values.lower;
+  step.bound.reserve(step.offload.arrays.size());
   double load_end = platform_.clock().Now();
-
-  for (const auto& config : offload.arrays) {
-    ManagedArray& array = resolve(*config.decl);
-    const auto& param =
-        offload.kernel.arrays[static_cast<std::size_t>(
-            config.kernel_array_index)];
+  for (const auto& config : step.offload.arrays) {
+    ManagedArray& array = step.resolve(*config.decl);
+    const auto& param = step.offload.kernel.arrays[static_cast<std::size_t>(
+        config.kernel_array_index)];
 
     ArrayRequirement req;
     req.array = &array;
@@ -329,296 +396,102 @@ void Executor::RunOffloadImpl(const LoopOffload& offload, HostEnv& env,
     // Reduction destinations stay replicated: the combined result must fold
     // into the pre-kernel value exactly once, which the replica path does.
     req.distributed = options_.honor_localaccess && config.has_localaccess &&
-                      !config.is_reduction_dest && num_devices > 1;
-    req.read_ranges.resize(devices_.size());
-    req.own_ranges.resize(devices_.size());
-
-    BoundArray ba;
-    ba.array = &array;
-    ba.config = &config;
-    ba.distributed = req.distributed;
+                      !config.is_reduction_dest && n > 1;
+    req.read_ranges.assign(n, Range{0, array.count()});
+    req.own_ranges.assign(n, Range{0, array.count()});
     if (req.distributed) {
-      std::int64_t stride, left, right;
-      if (config.cols != nullptr) {
-        // 2-D row-block window: the loop iterates rows of a row-major grid,
-        // so the element stride is the row length and the halo extents are
-        // whole rows. Row blocks are contiguous, which is what lets every
-        // 1-D range below (loading, ownership, halo refresh) apply as-is.
-        const std::int64_t cols = EvalIndexExpr(*config.cols, env);
-        ACCMG_REQUIRE(cols >= 1, "localaccess cols must be >= 1");
-        if (array.is_2d()) {
-          ACCMG_REQUIRE(cols == array.cols(),
-                        "localaccess cols(" + std::to_string(cols) +
-                            ") disagrees with the data clause shape of '" +
-                            array.name() + "' (" +
-                            std::to_string(array.cols()) + " columns)");
-        }
-        stride = cols;
-        left = (config.left != nullptr ? EvalIndexExpr(*config.left, env)
-                                       : 0) * cols;
-        right = (config.right != nullptr ? EvalIndexExpr(*config.right, env)
-                                         : 0) * cols;
-      } else {
-        stride =
-            config.stride != nullptr ? EvalIndexExpr(*config.stride, env) : 1;
-        left = config.left != nullptr ? EvalIndexExpr(*config.left, env) : 0;
-        right =
-            config.right != nullptr ? EvalIndexExpr(*config.right, env) : 0;
-      }
-      ACCMG_REQUIRE(stride >= 1, "localaccess stride must be >= 1");
-      ACCMG_REQUIRE(left >= 0 && right >= 0,
-                    "localaccess halo extents must be >= 0");
+      ArraySplitInput window = ResolveWindow(config, array, step.env);
+      const std::int64_t stride = window.stride;
       // Ownership is a complete partition of [0, count): boundaries at the
       // start of each GPU's first iteration, with the ends pinned to the
       // array bounds so that every element has exactly one owner.
-      std::vector<std::int64_t> boundary(devices_.size() + 1);
+      std::vector<std::int64_t> boundary(n + 1);
       boundary[0] = 0;
       bool exact = true;
-      for (std::size_t g = 1; g < devices_.size(); ++g) {
-        const std::int64_t ideal = stride * (lower + tasks[g].lo);
+      for (std::size_t g = 1; g < n; ++g) {
+        const std::int64_t ideal = stride * (lower + step.tasks[g].lo);
         boundary[g] = std::clamp<std::int64_t>(ideal, 0, array.count());
         exact &= boundary[g] == ideal;
       }
-      boundary[devices_.size()] = array.count();
-      for (std::size_t g = 1; g < devices_.size(); ++g) {
+      boundary[n] = array.count();
+      for (std::size_t g = 1; g < n; ++g) {
         exact &= boundary[g] >= boundary[g - 1];
         boundary[g] = std::max(boundary[g], boundary[g - 1]);
       }
-      for (std::size_t g = 0; g < devices_.size(); ++g) {
-        const std::int64_t iter_lo = lower + tasks[g].lo;
-        const std::int64_t iter_hi = lower + tasks[g].hi;
-        Range read{stride * iter_lo - left, stride * iter_hi + right};
+      for (std::size_t g = 0; g < n; ++g) {
+        Range read{stride * (lower + step.tasks[g].lo) - window.left,
+                   stride * (lower + step.tasks[g].hi) + window.right};
         read.lo = std::clamp<std::int64_t>(read.lo, 0, array.count());
         read.hi = std::clamp<std::int64_t>(read.hi, 0, array.count());
         const Range own{boundary[g], boundary[g + 1]};
         // Owner range must be resident: widen the loaded range over it.
-        read.lo = std::min(read.lo, own.lo);
-        read.hi = std::max(read.hi, own.hi);
-        req.read_ranges[g] = read;
+        req.read_ranges[g] = Range{std::min(read.lo, own.lo),
+                                   std::max(read.hi, own.hi)};
         req.own_ranges[g] = own;
       }
-      ba.stride = stride;
-      ba.left = left;
-      ba.right = right;
-      ba.boundaries_exact = exact;
-    } else {
-      for (std::size_t g = 0; g < devices_.size(); ++g) {
-        req.read_ranges[g] = Range{0, array.count()};
-        req.own_ranges[g] = Range{0, array.count()};
-      }
+      window.boundaries_exact = exact;
+      step.split_inputs.push_back(window);
     }
-    // Under the pipeline a reload must not race the array's own in-flight
-    // exchange; its readiness time is the transfer floor.
-    double load_floor = 0;
-    if (async) {
-      auto it = ready_.find(&array);
-      if (it != ready_.end()) {
-        load_floor = std::max(it->second.bulk, it->second.halo);
-      }
-    }
-    load_end = std::max(load_end, loader_.EnsurePlacement(req, load_floor));
-    bound.push_back(ba);
+    // A reload must not race the array's own in-flight exchange; its
+    // readiness time is the transfer floor.
+    const ArrayReady ready = ReadyOf(&array);
+    load_end = std::max(load_end, loader_.EnsurePlacement(
+                                      req, std::max(ready.bulk, ready.halo)));
+    step.bound.push_back(BoundArray{&array, &config, req.distributed});
   }
-  if (async) {
-    // Only the exposed transfer latency stalls the pipeline — no global
-    // resource drain. Steady-state iterations hit the reload-skip cache and
-    // pay nothing here.
-    platform_.clock().AdvanceTo(load_end, sim::TimeCategory::kCpuGpu);
-  } else {
-    platform_.Barrier(sim::TimeCategory::kCpuGpu);
-  }
+  // Under the pipeline only the exposed transfer latency stalls — no global
+  // resource drain. Steady-state iterations hit the reload-skip cache and
+  // pay nothing here.
+  EndStage(sim::TimeCategory::kCpuGpu, load_end);
+}
 
-  // --- 3. Resolve launch-time values. ---
-  std::vector<std::uint64_t> scalar_values(offload.scalars.size());
-  for (std::size_t s = 0; s < offload.scalars.size(); ++s) {
-    const auto& arg = offload.scalars[s];
-    const TypedValue value = env.GetScalar(*arg.decl);
-    const ir::ValType t =
-        offload.kernel.scalars[s].type;
-    scalar_values[s] = ir::EncodeScalar(t, value.AsDouble(), value.AsInt());
+// --- Launch: kernels on every device, overlapping in simulated time. ---
+void Executor::LaunchKernels(OffloadStep& step) {
+  const std::size_t n = devices_.size();
+  // Interior sub-kernels only touch owned elements, so they start at
+  // bulk_gate while the previous offload's halo exchange is still on the
+  // wire; boundary sub-kernels (and unsplit kernels, which may read halos)
+  // gate on halo_gate.
+  for (const BoundArray& ba : step.bound) {
+    const ArrayReady ready = ReadyOf(ba.array);
+    step.bulk_gate = std::max(step.bulk_gate, ready.bulk);
+    step.halo_gate = std::max(step.halo_gate, ready.halo);
   }
-  std::vector<std::int64_t> red_lower(offload.array_reds.size(), 0);
-  std::vector<std::int64_t> red_length(offload.array_reds.size(), 0);
-  for (std::size_t r = 0; r < offload.array_reds.size(); ++r) {
-    const auto& red = offload.array_reds[r];
-    ManagedArray& dest = resolve(*red.decl);
-    red_lower[r] =
-        red.lower != nullptr ? EvalIndexExpr(*red.lower, env) : 0;
-    red_length[r] = red.length != nullptr
-                        ? EvalIndexExpr(*red.length, env)
-                        : dest.count() - red_lower[r];
-    ACCMG_REQUIRE(red_lower[r] >= 0 &&
-                      red_lower[r] + red_length[r] <= dest.count(),
-                  "reductiontoarray section outside array '" + dest.name() +
-                      "'");
-  }
+  step.halo_gate = std::max(step.halo_gate, step.bulk_gate);
+  // The wait for bulk readiness is exposed inter-GPU communication time.
+  platform_.clock().AdvanceTo(step.bulk_gate, sim::TimeCategory::kGpuGpu);
 
-  // --- 3b. Async gates and boundary/interior split plans. ---
-  // `bulk_gate` is when every used array's non-halo contents are ready
-  // (outstanding dirty merges / miss replays / reduction broadcasts);
-  // `halo_gate` additionally waits for in-flight halo refreshes. Interior
-  // sub-kernels only touch owned elements, so they start at bulk_gate while
-  // the halo exchange of the previous offload is still on the wire — the
-  // boundary sub-kernels (and unsplit kernels, which may read halos) gate
-  // on halo_gate.
-  double bulk_gate = 0;
-  double halo_gate = 0;
-  if (async) {
-    for (const auto& ba : bound) {
-      auto it = ready_.find(ba.array);
-      if (it == ready_.end()) continue;
-      bulk_gate = std::max(bulk_gate, it->second.bulk);
-      halo_gate = std::max(halo_gate, it->second.halo);
-    }
-    halo_gate = std::max(halo_gate, bulk_gate);
-    // The wait for bulk readiness is exposed inter-GPU communication time.
-    platform_.clock().AdvanceTo(bulk_gate, sim::TimeCategory::kGpuGpu);
-  }
-
-  std::vector<SplitPlan> plans(devices_.size());
-  if (async && devices_.size() > 1) {
-    std::vector<ArraySplitInput> split_inputs;
-    for (const auto& ba : bound) {
-      if (!ba.distributed) continue;
-      ArraySplitInput in;
-      in.distributed = true;
-      in.is_written = ba.config->is_written;
-      in.stride = ba.stride;
-      in.left = ba.left;
-      in.right = ba.right;
-      in.boundaries_exact = ba.boundaries_exact;
-      in.has_affine_writes = ba.config->has_affine_writes;
-      in.write_coeff = ba.config->write_coeff;
-      in.write_min_off = ba.config->write_min_off;
-      in.write_max_off = ba.config->write_max_off;
-      if (ba.config->cols != nullptr && ba.config->is_written &&
-          ba.config->writes_proven_local) {
-        // 2-D row-block arrays carry a symbolic row-locality proof instead
-        // of const-folded affine write facts: iteration i writes only
-        // within its own row [cols*i, cols*i + cols - 1]. Expressed in the
-        // split plan's affine terms that is coeff = cols (== ba.stride
-        // after launch-time scaling) with offsets [0, cols - 1].
-        in.has_affine_writes = true;
-        in.write_coeff = ba.stride;
-        in.write_min_off = 0;
-        in.write_max_off = ba.stride - 1;
-      }
-      split_inputs.push_back(in);
-    }
-    for (std::size_t g = 0; g < devices_.size(); ++g) {
-      plans[g] = ComputeBoundarySplit(split_inputs, g, devices_.size(),
-                                      tasks[g].size());
+  step.plans.resize(n);  // unsplit unless the pipeline splits below
+  if (async() && n > 1) {
+    for (std::size_t g = 0; g < n; ++g) {
+      step.plans[g] = ComputeBoundarySplit(step.split_inputs, g, n,
+                                           step.tasks[g].size());
     }
   }
 
-  // --- 4. Launch kernels (they overlap in simulated time). ---
   // Setup + launches run concurrently, one thread per device: each kernel's
   // functional execution (Platform::LaunchKernel) is itself host work, so
   // device-after-device launching would serialize it on the harness wall
   // clock even though the sim clock already models the overlap. Billing is
   // thread-safe and per-device resources are disjoint, so simulated time is
   // unchanged.
-  //
-  // Async split: one KernelExec per device runs up to three sub-launches
-  // (interior first — it never waits on halos — then the lead and trail
-  // boundary windows gated on halo_gate). ResetOutputs is called once, so
-  // reduction partials accumulate across the sub-launches exactly as one
-  // full-range launch would.
-  std::vector<std::unique_ptr<ir::KernelExec>> execs(devices_.size());
-  // Measured-mapper epoch: per-device durations are taken against the clock
-  // value at launch issue, so loading skew that already advanced the clock
-  // is not charged to any one device's kernel speed.
-  const double launch_floor = platform_.clock().Now();
-  std::vector<double> interior_end(devices_.size(), 0);
-  std::vector<double> boundary_end(devices_.size(), 0);
-  std::vector<double> device_end(devices_.size(), 0);
-  auto launch_device = [&](std::size_t g) {
-    auto exec = std::make_unique<ir::KernelExec>(offload.kernel);
-    exec->scalar_values = scalar_values;
-    exec->iteration_offset = lower + tasks[g].lo;
-    exec->array_red_lower = red_lower;
-    exec->array_red_length = red_length;
-    for (std::size_t a = 0; a < bound.size(); ++a) {
-      const BoundArray& ba = bound[a];
-      const auto& param = offload.kernel.arrays[a];
-      DeviceShard& shard = ba.array->shard(devices_[g]);
-      ir::ArrayBinding& binding = exec->bindings[a];
-      binding.data = shard.data->bytes().data();
-      binding.lo = shard.loaded.lo;
-      binding.hi = shard.loaded.hi;
-      if (ba.distributed) {
-        binding.write_lo = shard.owned.lo;
-        binding.write_hi = shard.owned.hi;
-      } else {
-        binding.write_lo = shard.loaded.lo;
-        binding.write_hi = shard.loaded.hi;
-      }
-      binding.logical_size = ba.array->count();
-      if (param.dirty_tracked) {
-        binding.dirty.level1 = reinterpret_cast<std::uint8_t*>(
-            shard.dirty1->bytes().data());
-        binding.dirty.level2 = reinterpret_cast<std::uint8_t*>(
-            shard.dirty2->bytes().data());
-        binding.dirty.chunk_elems = shard.chunk_elems;
-      }
-      if (param.miss_checked) binding.miss = &shard.miss;
-    }
-    exec->ResetOutputs();
-
-    auto sub_launch = [&](std::int64_t first_iter, std::int64_t threads,
-                          const char* suffix, double ready_at) {
-      sim::KernelLaunch launch;
-      launch.body = exec.get();
-      launch.num_threads = threads;
-      launch.block_size = options_.block_size;
-      launch.name = suffix != nullptr ? offload.name + suffix : offload.name;
-      launch.ready_at = ready_at;
-      exec->iteration_offset = lower + tasks[g].lo + first_iter;
-      double end = 0;
-      platform_.LaunchKernel(devices_[g], launch, &end);
-      return end;
-    };
-
-    const SplitPlan& plan = plans[g];
-    if (!plan.split) {
-      // One full-range launch. Unsplit async kernels may read halo
-      // elements, so they gate on halo_gate (zero in sync mode).
-      const double end =
-          sub_launch(0, tasks[g].size(), nullptr, async ? halo_gate : 0);
-      interior_end[g] = end;
-      boundary_end[g] = end;
-      device_end[g] = end;
-    } else {
-      const std::int64_t size = tasks[g].size();
-      const double iend = sub_launch(
-          plan.lead, size - plan.lead - plan.trail, ":interior", 0);
-      double bend = iend;
-      if (plan.lead > 0) {
-        bend = std::max(bend, sub_launch(0, plan.lead, ":lead", halo_gate));
-      }
-      if (plan.trail > 0) {
-        bend = std::max(bend, sub_launch(size - plan.trail, plan.trail,
-                                         ":trail", halo_gate));
-      }
-      interior_end[g] = iend;
-      boundary_end[g] = bend;
-      device_end[g] = bend;
-    }
-    execs[g] = std::move(exec);
-  };
-  if (devices_.size() == 1) {
-    launch_device(0);
+  step.execs.resize(n);
+  step.interior_end.assign(n, 0);
+  step.device_end.assign(n, 0);
+  step.launch_floor = platform_.clock().Now();
+  if (n == 1) {
+    LaunchOnDevice(step, 0);
   } else {
-    std::vector<std::exception_ptr> errors(devices_.size());
+    std::vector<std::exception_ptr> errors(n);
     std::vector<std::thread> launchers;
-    launchers.reserve(devices_.size());
-    for (std::size_t g = 0; g < devices_.size(); ++g) {
+    launchers.reserve(n);
+    for (std::size_t g = 0; g < n; ++g) {
       launchers.emplace_back([&, g] {
         // Fresh threads don't inherit the caller's thread-local job label;
         // re-establish it so per-device spans stay attributable to the job.
         trace::JobScope job_scope(options_.job_id);
         try {
-          launch_device(g);
+          LaunchOnDevice(step, g);
         } catch (...) {
           errors[g] = std::current_exception();
         }
@@ -629,175 +502,213 @@ void Executor::RunOffloadImpl(const LoopOffload& offload, HostEnv& env,
       if (error) std::rethrow_exception(error);
     }
   }
-  double kernel_done = 0;
-  if (async) {
-    // Time up to the slowest interior is kernel execution; any boundary
-    // tail beyond it exists only because the boundary waited on an
-    // in-flight exchange, so that remainder is exposed GPU-GPU time.
-    double interior_max = 0;
-    for (std::size_t g = 0; g < devices_.size(); ++g) {
-      interior_max = std::max(interior_max, interior_end[g]);
-      kernel_done = std::max(kernel_done, device_end[g]);
-    }
-    platform_.clock().AdvanceTo(interior_max, sim::TimeCategory::kKernel);
-    platform_.clock().AdvanceTo(kernel_done,
-                                halo_gate > interior_max
-                                    ? sim::TimeCategory::kGpuGpu
-                                    : sim::TimeCategory::kKernel);
-  } else {
-    platform_.Barrier(sim::TimeCategory::kKernel);
+
+  // Time up to the slowest interior is kernel execution; any boundary tail
+  // beyond it exists only because the boundary waited on an in-flight
+  // exchange, so that remainder is exposed GPU-GPU time.
+  double interior_max = 0;
+  for (std::size_t g = 0; g < n; ++g) {
+    interior_max = std::max(interior_max, step.interior_end[g]);
+    step.kernel_done = std::max(step.kernel_done, step.device_end[g]);
   }
+  platform_.clock().AdvanceTo(Floor(interior_max), sim::TimeCategory::kKernel);
+  EndStage(step.halo_gate > interior_max ? sim::TimeCategory::kGpuGpu
+                                         : sim::TimeCategory::kKernel,
+           step.kernel_done);
   ++stats_.offload_runs;
   static metrics::Counter& offload_runs_metric =
       metrics::Registry::Global().counter("executor.offload_runs");
   offload_runs_metric.Add();
+}
 
-  // Fill the shared throughput table from the first equal-split execution
-  // whose measurement is usable on every device (each got iterations and
-  // its kernel-end timestamp advanced past the launch floor). An unusable
-  // measurement — e.g. a range smaller than the device count — leaves the
-  // table empty, so the mapper keeps splitting equally and re-measuring
-  // until an offload supplies real work on all devices. Once filled the
-  // table is frozen: every subsequent offload derives its split from the
-  // same numbers, and only a device-set change (ShrinkDevices) clears it.
-  if (options_.mapper == TaskMapper::kMeasured && devices_.size() > 1 &&
-      total > 0 && mapper_speed_.empty()) {
-    std::vector<double> speed(devices_.size(), 0.0);
-    bool usable = true;
-    for (std::size_t g = 0; g < devices_.size(); ++g) {
-      const double duration = device_end[g] - launch_floor;
-      const std::int64_t iters = tasks[g].size();
-      if (iters > 0 && duration > 0) {
-        speed[g] = static_cast<double>(iters) / duration;
-      } else {
-        usable = false;
-      }
+// One KernelExec per device runs one full-range launch, or under a
+// pipeline split up to three sub-launches: interior first (it never waits
+// on halos), then the lead and trail boundary windows gated on halo_gate.
+// ResetOutputs is called once, so reduction partials accumulate across the
+// sub-launches exactly as one full-range launch would.
+void Executor::LaunchOnDevice(OffloadStep& step, std::size_t g) {
+  const LoopOffload& offload = step.offload;
+  const Range task = step.tasks[g];
+  auto exec = std::make_unique<ir::KernelExec>(offload.kernel);
+  step.values.BindTo(*exec);
+  for (std::size_t a = 0; a < step.bound.size(); ++a) {
+    const BoundArray& ba = step.bound[a];
+    const auto& param = offload.kernel.arrays[a];
+    DeviceShard& shard = ba.array->shard(devices_[g]);
+    ir::ArrayBinding& binding = exec->bindings[a];
+    binding.data = shard.data->bytes().data();
+    binding.lo = shard.loaded.lo;
+    binding.hi = shard.loaded.hi;
+    const Range writable = ba.distributed ? shard.owned : shard.loaded;
+    binding.write_lo = writable.lo;
+    binding.write_hi = writable.hi;
+    binding.logical_size = ba.array->count();
+    if (param.dirty_tracked) {
+      binding.dirty.level1 =
+          reinterpret_cast<std::uint8_t*>(shard.dirty1->bytes().data());
+      binding.dirty.level2 =
+          reinterpret_cast<std::uint8_t*>(shard.dirty2->bytes().data());
+      binding.dirty.chunk_elems = shard.chunk_elems;
     }
-    if (usable) mapper_speed_ = std::move(speed);
+    if (param.miss_checked) binding.miss = &shard.miss;
   }
+  exec->ResetOutputs();
 
-  // --- 5. Communication step. ---
-  // Reduction combines below bill transfers under the reduction category;
-  // the comm-manager calls in 5c/5d override it with their own phases.
-  trace::PhaseScope reduction_phase(trace::category::kReduction);
+  auto sub_launch = [&](std::int64_t first_iter, std::int64_t threads,
+                        const char* suffix, double ready_at) {
+    sim::KernelLaunch launch;
+    launch.body = exec.get();
+    launch.num_threads = threads;
+    launch.block_size = options_.block_size;
+    launch.name = suffix != nullptr ? offload.name + suffix : offload.name;
+    launch.ready_at = ready_at;
+    exec->iteration_offset = step.values.lower + task.lo + first_iter;
+    double end = 0;
+    platform_.LaunchKernel(devices_[g], launch, &end);
+    return end;
+  };
 
-  // 5a. Scalar reductions: per-GPU partials come back to the host (a few
-  // bytes each) and fold into the variable's pre-loop value. The host
-  // consumes the value immediately, so the async pipeline waits for the
-  // readback (exposed time is GPU-GPU communication).
+  const SplitPlan& plan = step.plans[g];
+  if (!plan.split) {
+    // Unsplit kernels may read halo elements, so they gate on halo_gate.
+    step.interior_end[g] = sub_launch(0, task.size(), nullptr, step.halo_gate);
+    step.device_end[g] = step.interior_end[g];
+  } else {
+    const std::int64_t size = task.size();
+    step.interior_end[g] = sub_launch(
+        plan.lead, size - plan.lead - plan.trail, ":interior", 0);
+    double end = step.interior_end[g];
+    if (plan.lead > 0) {
+      end = std::max(end, sub_launch(0, plan.lead, ":lead", step.halo_gate));
+    }
+    if (plan.trail > 0) {
+      end = std::max(end, sub_launch(size - plan.trail, plan.trail, ":trail",
+                                     step.halo_gate));
+    }
+    step.device_end[g] = end;
+  }
+  step.execs[g] = std::move(exec);
+}
+
+// Fills the shared throughput table from the first equal-split execution
+// whose measurement is usable on every device (each got iterations and its
+// kernel-end timestamp advanced past the launch floor). An unusable
+// measurement — e.g. a range smaller than the device count — leaves the
+// table empty, so the mapper keeps splitting equally and re-measuring until
+// an offload supplies real work on all devices. Once filled the table is
+// frozen: every subsequent offload derives its split from the same numbers,
+// and only a device-set change (ShrinkDevices) clears it.
+void Executor::MeasureThroughput(const OffloadStep& step) {
+  if (options_.mapper != TaskMapper::kMeasured || devices_.size() < 2 ||
+      step.values.total <= 0 || !mapper_speed_.empty()) {
+    return;
+  }
+  std::vector<double> speed(devices_.size(), 0.0);
+  for (std::size_t g = 0; g < devices_.size(); ++g) {
+    const double duration = step.device_end[g] - step.launch_floor;
+    const std::int64_t iters = step.tasks[g].size();
+    if (iters <= 0 || duration <= 0) return;
+    speed[g] = static_cast<double>(iters) / duration;
+  }
+  mapper_speed_ = std::move(speed);
+}
+
+// --- Reduce: scalar and array reductions across devices (IV-B4). ---
+void Executor::CombineReductions(OffloadStep& step) {
+  const LoopOffload& offload = step.offload;
+  // Scalar reductions: per-GPU partials come back to the host (a few bytes
+  // each) and fold into the variable's pre-loop value. The host consumes
+  // the value immediately, so the pipeline waits for the readback (exposed
+  // time is GPU-GPU communication); BSP waits at the cohere barrier.
   double scalar_red_end = platform_.clock().Now();
   for (std::size_t r = 0; r < offload.scalar_reds.size(); ++r) {
-    const auto& red = offload.scalar_reds[r];
     const auto& slot = offload.kernel.scalar_reductions[r];
-    const TypedValue initial = env.GetScalar(*red.decl);
-    std::uint64_t acc = ToElementRaw(slot.type, initial);
+    std::uint64_t acc = step.values.red_initial[r];
     for (std::size_t g = 0; g < devices_.size(); ++g) {
       acc = ir::CombineRaw(slot.op, slot.type, acc,
-                           execs[g]->scalar_red_results()[r]);
+                           step.execs[g]->scalar_red_results()[r]);
       scalar_red_end = std::max(
-          scalar_red_end,
-          platform_.BillDeviceToHost(devices_[g],
-                                     ir::ValTypeSize(slot.type)));
+          scalar_red_end, platform_.BillDeviceToHost(
+                              devices_[g], ir::ValTypeSize(slot.type)));
     }
-    env.SetScalar(*red.decl, FromElementRaw(slot.type, acc));
+    step.env.SetScalar(*offload.scalar_reds[r].decl,
+                       TypedValue::FromElementBits(slot.type, acc));
   }
-  if (async && !offload.scalar_reds.empty()) {
-    platform_.clock().AdvanceTo(scalar_red_end, sim::TimeCategory::kGpuGpu);
-  }
+  platform_.clock().AdvanceTo(Floor(scalar_red_end),
+                              sim::TimeCategory::kGpuGpu);
 
-  // 5b. Array reductions (hierarchical, Section IV-B4): per-GPU dense
-  // partials combine pairwise across GPUs (tree order, parallel over element
-  // ranges), then the result folds into every replica of the destination.
+  // Array reductions (hierarchical): per-GPU dense partials combine
+  // pairwise across GPUs (tree order, parallel over element ranges), then
+  // the result folds into every replica of the destination. Later offloads
+  // using the destination gate on the broadcast; the host does not.
   for (std::size_t r = 0; r < offload.array_reds.size(); ++r) {
-    const auto& red = offload.array_reds[r];
     const auto& slot = offload.kernel.array_reductions[r];
-    ManagedArray& dest = resolve(*red.decl);
+    ManagedArray& dest = step.resolve(*offload.array_reds[r].decl);
     std::vector<const std::vector<std::uint64_t>*> partials;
     partials.reserve(devices_.size());
-    for (const auto& exec : execs) {
+    for (const auto& exec : step.execs) {
       partials.push_back(&exec->array_red_partials()[r]);
     }
     const double red_end = CombineArrayReduction(
-        platform_, devices_, dest, slot.op, slot.type, red_lower[r],
-        red_length[r], partials);
-    if (async) {
-      // Later offloads using the destination gate on the broadcast; the
-      // host does not, so the clock is not advanced here.
-      ArrayReady& state = ready_[&dest];
-      state.bulk = std::max(state.bulk, red_end);
-      state.halo = std::max(state.halo, state.bulk);
-      pending_comm_end_ = std::max(pending_comm_end_, red_end);
-    }
+        platform_, devices_, dest, slot.op, slot.type,
+        step.values.red_lower[r], step.values.red_length[r], partials);
+    MarkReady(&dest, red_end, 0);
   }
+}
 
-  // 5c. Replicated written arrays: dirty-bit propagation.
-  // 5d. Distributed arrays: write-miss replay, then halo refresh.
-  //
-  // Async issue order is dependence-driven: arrays the next dependent
-  // offload reads (depgraph RAW edges) go first, so their transfers grab
-  // the copy engines before coherence traffic nothing is waiting on.
-  // Billing per array is unchanged — only the order across arrays moves.
-  std::vector<std::size_t> comm_order(bound.size());
-  for (std::size_t a = 0; a < bound.size(); ++a) comm_order[a] = a;
-  if (async && depgraph_ != nullptr) {
-    const std::vector<int> succs = depgraph_->Successors(offload.id);
+// --- Cohere: dirty-bit propagation for replicated written arrays; write-
+// miss replay, then halo refresh, for distributed ones (IV-D). ---
+void Executor::Cohere(OffloadStep& step) {
+  // Issue order is dependence-driven under the pipeline: arrays the next
+  // dependent offload reads (depgraph RAW edges) go first, so their
+  // transfers grab the copy engines before coherence traffic nothing is
+  // waiting on. Billing per array is unchanged — only the order moves.
+  const std::vector<BoundArray>& bound = step.bound;
+  std::vector<std::size_t> order(bound.size());
+  for (std::size_t a = 0; a < bound.size(); ++a) order[a] = a;
+  if (depgraph_ != nullptr) {
+    const std::vector<int> succs = depgraph_->Successors(step.offload.id);
     if (!succs.empty()) {
       const std::vector<const frontend::VarDecl*> next_reads =
-          depgraph_->ReadsFrom(offload.id, succs.front());
-      std::stable_partition(
-          comm_order.begin(), comm_order.end(), [&](std::size_t a) {
-            const frontend::VarDecl* decl = bound[a].config->decl;
-            return std::find(next_reads.begin(), next_reads.end(), decl) !=
-                   next_reads.end();
-          });
+          depgraph_->ReadsFrom(step.offload.id, succs.front());
+      std::stable_partition(order.begin(), order.end(), [&](std::size_t a) {
+        return std::find(next_reads.begin(), next_reads.end(),
+                         bound[a].config->decl) != next_reads.end();
+      });
     }
   }
-  const sim::Stream comm_stream =
-      async ? sim::Stream::kAsync : sim::Stream::kDefault;
-  for (std::size_t a : comm_order) {
+  for (std::size_t a : order) {
     const BoundArray& ba = bound[a];
-    const auto& param = offload.kernel.arrays[a];
+    const auto& param = step.offload.kernel.arrays[a];
     double prop_end = 0;
     double miss_end = 0;
     double halo_end = 0;
     if (param.dirty_tracked) {
-      prop_end = comm_.PropagateReplicated(*ba.array, async ? kernel_done : 0,
-                                           comm_stream);
+      prop_end = comm_.PropagateReplicated(
+          *ba.array, Floor(step.kernel_done), CommStream());
     }
     if (param.miss_checked) {
-      miss_end = comm_.ReplayWriteMisses(*ba.array, async ? kernel_done : 0,
-                                         comm_stream);
+      miss_end = comm_.ReplayWriteMisses(*ba.array, Floor(step.kernel_done),
+                                         CommStream());
     }
     if (ba.distributed && ba.config->is_written &&
         !ba.config->is_reduction_dest) {
-      double halo_floor = 0;
-      if (async) {
-        // The refresh reads each owner's exchange-sensitive slices and
-        // overwrites halos the old values of which only boundary iterations
-        // read — both complete at the boundary sub-kernels (the full kernel
-        // where no split happened). Miss replays write owner segments too,
-        // so an earlier replay of this array also floors the refresh.
-        halo_floor = miss_end;
-        for (std::size_t g = 0; g < devices_.size(); ++g) {
-          halo_floor = std::max(halo_floor, boundary_end[g]);
-        }
-      }
-      halo_end = comm_.RefreshHalos(*ba.array, halo_floor, comm_stream);
+      // The refresh reads each owner's exchange-sensitive slices and
+      // overwrites halos whose old values only boundary iterations read —
+      // both complete with the device's last (boundary) launch. Miss
+      // replays write owner segments too, so an earlier replay of this
+      // array also floors the refresh.
+      halo_end = comm_.RefreshHalos(
+          *ba.array, Floor(std::max(miss_end, step.kernel_done)),
+          CommStream());
     }
     if (ba.config->is_written) {
       for (int device : devices_) ba.array->shard(device).valid = true;
       ba.array->set_host_valid(false);
     }
-    if (async) {
-      // Monotonic: a reduction destination already carries its broadcast
-      // end from 5b, which must not be lowered.
-      ArrayReady& state = ready_[ba.array];
-      state.bulk = std::max({state.bulk, kernel_done, prop_end, miss_end});
-      state.halo = std::max({state.halo, state.bulk, halo_end});
-      pending_comm_end_ = std::max(pending_comm_end_, state.halo);
-    }
+    MarkReady(ba.array, std::max({step.kernel_done, prop_end, miss_end}),
+              halo_end);
   }
-  if (!async) platform_.Barrier(sim::TimeCategory::kGpuGpu);
+  EndStage(sim::TimeCategory::kGpuGpu, platform_.clock().Now());
 }
-
 }  // namespace accmg::runtime

@@ -1,6 +1,11 @@
 // BSP execution of one offloaded parallel loop on the multi-GPU platform
-// (paper Section III-A): map tasks & load data -> run kernels in parallel ->
-// handle inter-GPU communication, then a global barrier.
+// (paper Section III-A), as five stages over one per-offload state:
+//   map     split the iteration range into one contiguous task per GPU
+//   place   load every array per its placement policy
+//   launch  run the kernels on all GPUs (they overlap in simulated time)
+//   reduce  combine scalar and array reduction partials across GPUs
+//   cohere  dirty-bit propagation, write-miss replay, halo refresh
+// and a global barrier closing each of place, launch and cohere.
 //
 // With ExecOptions::async_pipeline the barriers are replaced by per-array
 // readiness times: distributed kernels with localaccess halos split into
@@ -39,9 +44,10 @@ class Executor {
            std::vector<int> devices);
 
   /// Executes the offloaded loop: evaluates bounds in `env`, splits the
-  /// iteration space equally across the participating GPUs, loads data per
-  /// placement policy, launches the kernels, and runs the communication
-  /// manager. Scalar reduction results are written back into `env`.
+  /// iteration space across the participating GPUs per ExecOptions::mapper,
+  /// loads data per placement policy, launches the kernels, and runs the
+  /// communication manager. Scalar reduction results are written back into
+  /// `env`.
   ///
   /// When the platform's fault injector is armed this runs under recovery
   /// (docs/ROBUSTNESS.md): managed state is checkpointed at offload entry;
@@ -64,9 +70,10 @@ class Executor {
   void CheckInterrupts() const;
 
   /// Installs the inter-offload dependence graph of the function being
-  /// interpreted (async pipeline only): communication after each offload is
-  /// issued so the arrays the next dependent offload reads go first. The
-  /// graph must outlive the executor's use; pass nullptr to detach.
+  /// interpreted (the host interpreter does so under the async pipeline
+  /// only): communication after each offload is issued so the arrays the
+  /// next dependent offload reads go first. The graph must outlive the
+  /// executor's use; pass nullptr to detach.
   void set_depgraph(const DepGraph* graph) { depgraph_ = graph; }
 
   /// Latest simulated end time of communication issued by the async
@@ -79,6 +86,11 @@ class Executor {
   /// readiness state. No-op when the pipeline is off.
   void FinishPendingComm();
 
+  /// Closes a schedule stage whose own work ends at `end`: BSP drains every
+  /// resource with a global barrier, the async pipeline only advances the
+  /// host clock to `end`. Elapsed time is billed to `category`.
+  void EndStage(sim::TimeCategory category, double end);
+
   DataLoader& loader() { return loader_; }
   CommManager& comm() { return comm_; }
   const ExecutorStats& stats() const { return stats_; }
@@ -88,10 +100,22 @@ class Executor {
   const Validator* validator() const { return validator_.get(); }
 
  private:
-  /// The actual BSP execution; RunOffload wraps it with the validator's
-  /// capture/check when validation is on.
+  /// Per-offload state the stages hand each other (defined in executor.cc).
+  struct OffloadStep;
+
+  /// The actual BSP step: a driver over the stages below. RunOffload wraps
+  /// it with the validator's capture/check when validation is on.
   void RunOffloadImpl(const translator::LoopOffload& offload,
                       translator::HostEnv& env, const ArrayResolver& resolve);
+
+  void MapTasks(OffloadStep& step);
+  void PlaceArrays(OffloadStep& step);
+  void LaunchKernels(OffloadStep& step);
+  void LaunchOnDevice(OffloadStep& step, std::size_t g);
+  void CombineReductions(OffloadStep& step);
+  void Cohere(OffloadStep& step);
+  /// Fills the measured mapper's speed table from `step`'s kernel timings.
+  void MeasureThroughput(const OffloadStep& step);
 
   /// Checkpoint/retry/degrade wrapper used when the fault injector is
   /// armed. Attributes every injected fault to exactly one recovery.*
@@ -121,6 +145,20 @@ class Executor {
     double bulk = 0;
     double halo = 0;
   };
+
+  // --- Schedule: the only place BSP and the async pipeline differ. ---
+  bool async() const { return options_.async_pipeline; }
+  /// A readiness floor for pipelined work; BSP issues unfloored (0).
+  double Floor(double t) const { return async() ? t : 0; }
+  /// Communication rides the second DMA engine under the pipeline.
+  sim::Stream CommStream() const {
+    return async() ? sim::Stream::kAsync : sim::Stream::kDefault;
+  }
+  /// Readiness of `array` (zero when untracked, hence always under BSP).
+  ArrayReady ReadyOf(const ManagedArray* array) const;
+  /// Raises the readiness of `array` under the pipeline; BSP tracks none,
+  /// its stage barriers already order everything.
+  void MarkReady(const ManagedArray* array, double bulk, double halo);
 
   /// Measured-throughput mapper state (ExecOptions::mapper == kMeasured).
   /// `mapper_speed_` is the per-device throughput table (iterations per

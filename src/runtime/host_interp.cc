@@ -139,10 +139,6 @@ HostInterpreter::HostInterpreter(ProgramRunner& runner,
   }
 }
 
-bool HostInterpreter::AsyncPipeline() const {
-  return gpu_ != nullptr && gpu_->options().async_pipeline;
-}
-
 const VarDecl* HostInterpreter::FindParam(const std::string& name) const {
   for (const auto& param : fn_.function->params) {
     if (param->name == name) return param.get();
@@ -504,30 +500,19 @@ void HostInterpreter::RunOffloadStmt(const frontend::ForStmt& loop,
   });
   UpdateMemoryPeaks();
 
-  if (AsyncPipeline()) {
-    // The implicit-array gathers below are host accesses; everything else
-    // stays in flight so the next offload can pipeline behind it.
-    if (!implicit.empty()) {
-      gpu_->FinishPendingComm();
-      double end = runner_.config_.platform->clock().Now();
-      for (const VarDecl* decl : implicit) {
-        ManagedArray& array = *managed_[decl->id];
-        end = std::max(end, GuardedGather(array));
-        array.DropDeviceState();
-        managed_.erase(decl->id);
-      }
-      runner_.config_.platform->clock().AdvanceTo(
-          end, sim::TimeCategory::kCpuGpu);
-    }
-    return;
-  }
+  // The implicit-array gathers are host accesses; under the pipeline
+  // everything else stays in flight so the next offload can pipeline
+  // behind it.
+  if (implicit.empty()) return;
+  gpu_->FinishPendingComm();
+  double end = runner_.config_.platform->clock().Now();
   for (const VarDecl* decl : implicit) {
     ManagedArray& array = *managed_[decl->id];
-    GuardedGather(array);
+    end = std::max(end, GuardedGather(array));
     array.DropDeviceState();
     managed_.erase(decl->id);
   }
-  runner_.config_.platform->Barrier(sim::TimeCategory::kCpuGpu);
+  gpu_->EndStage(sim::TimeCategory::kCpuGpu, end);
 }
 
 void HostInterpreter::EnterDataRegion(const Directive& directive,
@@ -580,7 +565,7 @@ void HostInterpreter::EnterDataRegion(const Directive& directive,
 void HostInterpreter::ExitDataRegion(const std::vector<RegionEntry>& entries) {
   // Region exit is a host synchronization point: outstanding pipelined
   // communication must land before the arrays are gathered and released.
-  if (AsyncPipeline()) gpu_->FinishPendingComm();
+  gpu_->FinishPendingComm();
   double end = runner_.config_.platform->clock().Now();
   for (const auto& entry : entries) {
     ManagedArray& array = Managed(*entry.decl);
@@ -591,12 +576,7 @@ void HostInterpreter::ExitDataRegion(const std::vector<RegionEntry>& entries) {
     array.DropDeviceState();
     managed_.erase(entry.decl->id);
   }
-  if (AsyncPipeline()) {
-    runner_.config_.platform->clock().AdvanceTo(end,
-                                                sim::TimeCategory::kCpuGpu);
-  } else {
-    runner_.config_.platform->Barrier(sim::TimeCategory::kCpuGpu);
-  }
+  gpu_->EndStage(sim::TimeCategory::kCpuGpu, end);
 }
 
 void HostInterpreter::EnterDataUnstructured(const Directive& directive) {
@@ -609,7 +589,7 @@ void HostInterpreter::EnterDataUnstructured(const Directive& directive) {
 }
 
 void HostInterpreter::ExitDataUnstructured(const Directive& directive) {
-  if (AsyncPipeline()) gpu_->FinishPendingComm();
+  gpu_->FinishPendingComm();
   double end = runner_.config_.platform->clock().Now();
   for (const auto& clause : directive.data_clauses) {
     for (const auto& section : clause.sections) {
@@ -627,16 +607,11 @@ void HostInterpreter::ExitDataUnstructured(const Directive& directive) {
       managed_.erase(decl->id);
     }
   }
-  if (AsyncPipeline()) {
-    runner_.config_.platform->clock().AdvanceTo(end,
-                                                sim::TimeCategory::kCpuGpu);
-  } else {
-    runner_.config_.platform->Barrier(sim::TimeCategory::kCpuGpu);
-  }
+  gpu_->EndStage(sim::TimeCategory::kCpuGpu, end);
 }
 
 void HostInterpreter::ApplyUpdate(const Directive& directive) {
-  if (AsyncPipeline()) gpu_->FinishPendingComm();
+  gpu_->FinishPendingComm();
   double end = runner_.config_.platform->clock().Now();
   for (const auto& update : directive.updates) {
     for (const auto& section : update.sections) {
@@ -652,12 +627,7 @@ void HostInterpreter::ApplyUpdate(const Directive& directive) {
       }
     }
   }
-  if (AsyncPipeline()) {
-    runner_.config_.platform->clock().AdvanceTo(end,
-                                                sim::TimeCategory::kCpuGpu);
-  } else {
-    runner_.config_.platform->Barrier(sim::TimeCategory::kCpuGpu);
-  }
+  gpu_->EndStage(sim::TimeCategory::kCpuGpu, end);
 }
 
 void HostInterpreter::SyncForHostAccess(const Stmt& stmt) {
@@ -672,7 +642,7 @@ void HostInterpreter::SyncForHostAccess(const Stmt& stmt) {
     if (array == nullptr) continue;
     if (!array->host_valid()) {
       // First gather is a host synchronization point under the pipeline.
-      if (!moved && AsyncPipeline()) gpu_->FinishPendingComm();
+      if (!moved) gpu_->FinishPendingComm();
       end = std::max(end, GuardedGather(*array));
       moved = true;
     }
@@ -686,14 +656,7 @@ void HostInterpreter::SyncForHostAccess(const Stmt& stmt) {
     }
     array->set_host_valid(true);
   }
-  if (moved) {
-    if (AsyncPipeline()) {
-      runner_.config_.platform->clock().AdvanceTo(
-          end, sim::TimeCategory::kCpuGpu);
-    } else {
-      runner_.config_.platform->Barrier(sim::TimeCategory::kCpuGpu);
-    }
-  }
+  if (moved) gpu_->EndStage(sim::TimeCategory::kCpuGpu, end);
 }
 
 double HostInterpreter::GuardedGather(ManagedArray& array) {

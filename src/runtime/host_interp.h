@@ -60,9 +60,6 @@ class HostInterpreter {
 
   void UpdateMemoryPeaks();
 
-  /// True when the GPU executor runs the dependence-driven async pipeline.
-  bool AsyncPipeline() const;
-
   ProgramRunner& runner_;
   const translator::CompiledFunction& fn_;
   translator::HostEnv env_;

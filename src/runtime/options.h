@@ -9,18 +9,22 @@ namespace accmg::runtime {
 
 /// How the executor splits a parallel loop's iteration range across the
 /// participating devices (docs/ARCHITECTURE.md, "Adaptive task mapper").
+/// Every mode hands device g one contiguous range; only the boundaries
+/// differ, so outputs are bit-identical across modes for non-reduction
+/// kernels and only the simulated schedule changes.
 enum class TaskMapper : int {
-  /// The paper's equal contiguous division (Section IV-B2).
+  /// The paper's equal contiguous division (Section IV-B2): device g of G
+  /// runs [floor(N*g/G), floor(N*(g+1)/G)).
   kEqual,
-  /// Measured-throughput rebalancing: after each execution of an offload the
-  /// executor records per-device kernel durations from the simulated clock
-  /// and resplits the next execution of the same offload proportionally to
-  /// the observed iterations/second. Falls back to equal division on the
-  /// first run, after a device-set change, and whenever a measurement is
-  /// unusable; a ~2% hysteresis band keeps stable splits byte-stable so the
-  /// loader's reload-skip caching still applies. Output is bit-identical to
-  /// equal division for non-reduction kernels — only the split (and thus the
-  /// simulated schedule) changes.
+  /// Extension beyond the paper: boundaries proportional to each device's
+  /// compute throughput from the platform's spec table, which wins when
+  /// the GPUs differ. Static — it trusts the spec table.
+  kSpec,
+  /// Measured throughput: the first execution whose per-device kernel
+  /// durations (from the simulated clock) are usable on every device fills
+  /// one executor-wide speed table, which is then frozen and splits every
+  /// offload proportionally, like kSpec. Until then, and again after a
+  /// device-set change clears the table, the split is equal.
   kMeasured,
 };
 
@@ -39,15 +43,7 @@ struct ExecOptions {
   /// Logical CUDA block size used for grid geometry.
   int block_size = 256;
 
-  /// Extension beyond the paper: split the iteration space proportionally
-  /// to each device's compute throughput instead of equally (Section IV-B2
-  /// divides equally, which wastes time when the GPUs differ). Static — it
-  /// trusts the platform's spec table; see `mapper` for the measured
-  /// alternative, which takes precedence when set to kMeasured.
-  bool weighted_task_mapping = false;
-
-  /// Adaptive task mapper selection (see TaskMapper above). kMeasured
-  /// overrides weighted_task_mapping once per-offload timings exist.
+  /// Task mapper (see TaskMapper above).
   TaskMapper mapper = TaskMapper::kEqual;
 
   /// Dependence-driven async offload pipeline. The executor derives

@@ -1,7 +1,6 @@
 #include "runtime/validator.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <exception>
@@ -13,10 +12,8 @@
 
 namespace accmg::runtime {
 
-using translator::EvalIndexExpr;
 using translator::HostEnv;
 using translator::LoopOffload;
-using translator::TypedValue;
 
 namespace {
 
@@ -35,17 +32,7 @@ void StoreRaw(std::byte* base, std::size_t elem_size,
 }
 
 double RawToDouble(ir::ValType type, std::uint64_t raw) {
-  switch (type) {
-    case ir::ValType::kF32:
-      return std::bit_cast<float>(static_cast<std::uint32_t>(raw));
-    case ir::ValType::kF64:
-      return std::bit_cast<double>(raw);
-    case ir::ValType::kI32:
-      return static_cast<std::int32_t>(static_cast<std::uint32_t>(raw));
-    case ir::ValType::kI64:
-      return static_cast<double>(static_cast<std::int64_t>(raw));
-  }
-  return 0;
+  return translator::TypedValue::FromElementBits(type, raw).AsDouble();
 }
 
 std::string RawToString(ir::ValType type, std::uint64_t raw) {
@@ -73,24 +60,6 @@ bool RawMatches(ir::ValType type, std::uint64_t a, std::uint64_t b,
   if (std::isnan(da) && std::isnan(db)) return true;
   const double scale = std::max({1.0, std::abs(da), std::abs(db)});
   return std::abs(da - db) <= rel_tol * scale;
-}
-
-/// TypedValue -> raw element bits of `type` (mirrors the executor's
-/// reduction write-back conversion).
-std::uint64_t ToElementRaw(ir::ValType type, const TypedValue& value) {
-  switch (type) {
-    case ir::ValType::kI32:
-      return static_cast<std::uint32_t>(
-          static_cast<std::int32_t>(value.AsInt()));
-    case ir::ValType::kI64:
-      return static_cast<std::uint64_t>(value.AsInt());
-    case ir::ValType::kF32:
-      return std::bit_cast<std::uint32_t>(
-          static_cast<float>(value.AsDouble()));
-    case ir::ValType::kF64:
-      return std::bit_cast<std::uint64_t>(value.AsDouble());
-  }
-  return 0;
 }
 
 /// Human-readable position of flat element `i` in `array`: plain index for
@@ -156,35 +125,9 @@ void Validator::BeginOffload(const LoopOffload& offload, HostEnv& env,
                              const ArrayResolver& resolve) {
   BillingGuard guard(platform_);
 
-  lower_ = EvalIndexExpr(*offload.lower_bound, env);
-  std::int64_t upper = EvalIndexExpr(*offload.upper_bound, env);
-  if (offload.upper_inclusive) ++upper;
-  total_ = std::max<std::int64_t>(0, upper - lower_);
-
-  scalar_values_.resize(offload.scalars.size());
-  for (std::size_t s = 0; s < offload.scalars.size(); ++s) {
-    const TypedValue value = env.GetScalar(*offload.scalars[s].decl);
-    const ir::ValType t = offload.kernel.scalars[s].type;
-    scalar_values_[s] = ir::EncodeScalar(t, value.AsDouble(), value.AsInt());
-  }
-
-  scalar_red_pre_.resize(offload.scalar_reds.size());
-  for (std::size_t r = 0; r < offload.scalar_reds.size(); ++r) {
-    scalar_red_pre_[r] =
-        ToElementRaw(offload.kernel.scalar_reductions[r].type,
-                     env.GetScalar(*offload.scalar_reds[r].decl));
-  }
-
-  red_lower_.resize(offload.array_reds.size());
-  red_length_.resize(offload.array_reds.size());
-  for (std::size_t r = 0; r < offload.array_reds.size(); ++r) {
-    const auto& red = offload.array_reds[r];
-    ManagedArray& dest = resolve(*red.decl);
-    red_lower_[r] = red.lower != nullptr ? EvalIndexExpr(*red.lower, env) : 0;
-    red_length_[r] = red.length != nullptr
-                         ? EvalIndexExpr(*red.length, env)
-                         : dest.count() - red_lower_[r];
-  }
+  values_ = ResolveLaunchValues(
+      offload, env,
+      [&](const frontend::VarDecl& decl) { return resolve(decl).count(); });
 
   // Authoritative pre-image of every touched array: host bytes overlaid
   // with the valid device truth (ManagedArray::SnapshotAuthoritative).
@@ -215,10 +158,7 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
 
   // --- golden execution: one device, whole iteration space, full arrays ---
   ir::KernelExec exec(offload.kernel);
-  exec.scalar_values = scalar_values_;
-  exec.iteration_offset = lower_;
-  exec.array_red_lower = red_lower_;
-  exec.array_red_length = red_length_;
+  values_.BindTo(exec);
   for (std::size_t a = 0; a < arrays_.size(); ++a) {
     ManagedArray& array = resolve(*arrays_[a].config->decl);
     ir::ArrayBinding& binding = exec.bindings[a];
@@ -232,7 +172,7 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
   exec.ResetOutputs();
   sim::KernelStats golden_stats;
   try {
-    exec.Execute(0, total_, golden_stats);
+    exec.Execute(0, values_.total, golden_stats);
   } catch (const DeviceError& fault) {
     Diverge("kernel '" + offload.name +
             "': golden single-device execution faulted (" + fault.what() +
@@ -245,10 +185,10 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
     const auto& red = offload.scalar_reds[r];
     const auto& slot = offload.kernel.scalar_reductions[r];
     const std::uint64_t golden_value =
-        ir::CombineRaw(slot.op, slot.type, scalar_red_pre_[r],
+        ir::CombineRaw(slot.op, slot.type, values_.red_initial[r],
                        exec.scalar_red_results()[r]);
     const std::uint64_t actual =
-        ToElementRaw(slot.type, env.GetScalar(*red.decl));
+        env.GetScalar(*red.decl).ToElementBits(slot.type);
     ++stats_.elements_compared;
     if (!RawMatches(slot.type, actual, golden_value, /*approximate=*/true,
                     options_.validate_rel_tol)) {
@@ -274,8 +214,8 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
     ACCMG_CHECK(golden != nullptr, "reduction destination not captured");
     const std::size_t esize = dest.elem_size();
     const auto& partial = exec.array_red_partials()[r];
-    for (std::int64_t j = 0; j < red_length_[r]; ++j) {
-      const std::int64_t at = red_lower_[r] + j;
+    for (std::int64_t j = 0; j < values_.red_length[r]; ++j) {
+      const std::int64_t at = values_.red_lower[r] + j;
       StoreRaw(golden, esize, at,
                ir::CombineRaw(slot.op, slot.type,
                               LoadRaw(golden, esize, at),

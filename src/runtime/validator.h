@@ -26,6 +26,7 @@
 #include <functional>
 #include <vector>
 
+#include "runtime/launch.h"
 #include "runtime/managed_array.h"
 #include "runtime/options.h"
 #include "sim/platform.h"
@@ -88,12 +89,7 @@ class Validator {
   ValidatorStats stats_;
 
   // State captured by BeginOffload for the in-flight offload.
-  std::int64_t lower_ = 0;
-  std::int64_t total_ = 0;
-  std::vector<std::uint64_t> scalar_values_;
-  std::vector<std::uint64_t> scalar_red_pre_;  ///< raw element bits per red
-  std::vector<std::int64_t> red_lower_;
-  std::vector<std::int64_t> red_length_;
+  LaunchValues values_;
   std::vector<GoldenArray> arrays_;
 };
 

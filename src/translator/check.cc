@@ -283,8 +283,11 @@ Verdict MinimizeSlack(Poly slack, const BoundsCollector& bounds,
       }
       if (self_referential) continue;
 
-      slack.erase(monomial);
-      for (const auto& [m, c] : substitute) slack[m] += coeff * c;
+      // Erasing frees the node `monomial` and `coeff` are bound to.
+      const Monomial eliminated = monomial;
+      const std::int64_t factor = coeff;
+      slack.erase(eliminated);
+      for (const auto& [m, c] : substitute) slack[m] += factor * c;
       progressed = true;
       break;
     }

@@ -52,6 +52,36 @@ TypedValue TypedValue::OfDouble(double v, ir::ValType t) {
   return value;
 }
 
+std::uint64_t TypedValue::ToElementBits(ir::ValType elem) const {
+  switch (elem) {
+    case ir::ValType::kI32:
+      return static_cast<std::uint32_t>(static_cast<std::int32_t>(AsInt()));
+    case ir::ValType::kI64:
+      return static_cast<std::uint64_t>(AsInt());
+    case ir::ValType::kF32:
+      return std::bit_cast<std::uint32_t>(static_cast<float>(AsDouble()));
+    case ir::ValType::kF64:
+      return DoubleToRaw(AsDouble());
+  }
+  ACCMG_UNREACHABLE("bad element type");
+}
+
+TypedValue TypedValue::FromElementBits(ir::ValType elem, std::uint64_t bits) {
+  switch (elem) {
+    case ir::ValType::kI32:
+      return OfInt(static_cast<std::int32_t>(static_cast<std::uint32_t>(bits)),
+                   elem);
+    case ir::ValType::kI64:
+      return OfInt(static_cast<std::int64_t>(bits), elem);
+    case ir::ValType::kF32:
+      return OfDouble(std::bit_cast<float>(static_cast<std::uint32_t>(bits)),
+                      elem);
+    case ir::ValType::kF64:
+      return OfDouble(RawToDouble(bits), elem);
+  }
+  ACCMG_UNREACHABLE("bad element type");
+}
+
 void HostEnv::SetScalar(const frontend::VarDecl& decl, TypedValue value) {
   scalars_[decl.id] = value;
 }
@@ -90,30 +120,11 @@ TypedValue ReadHostElement(const HostArray& array, std::int64_t index,
                 "host read out of range: " + name + "[" +
                     std::to_string(index) + "], extent " +
                     std::to_string(array.count));
-  const std::byte* base = static_cast<const std::byte*>(array.data);
-  switch (array.elem) {
-    case ir::ValType::kI32: {
-      std::int32_t v;
-      std::memcpy(&v, base + index * 4, 4);
-      return TypedValue::OfInt(v, ir::ValType::kI32);
-    }
-    case ir::ValType::kI64: {
-      std::int64_t v;
-      std::memcpy(&v, base + index * 8, 8);
-      return TypedValue::OfInt(v, ir::ValType::kI64);
-    }
-    case ir::ValType::kF32: {
-      float v;
-      std::memcpy(&v, base + index * 4, 4);
-      return TypedValue::OfDouble(v, ir::ValType::kF32);
-    }
-    case ir::ValType::kF64: {
-      double v;
-      std::memcpy(&v, base + index * 8, 8);
-      return TypedValue::OfDouble(v, ir::ValType::kF64);
-    }
-  }
-  ACCMG_UNREACHABLE("bad element type");
+  const std::size_t size = ir::ValTypeSize(array.elem);
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, static_cast<const std::byte*>(array.data) + index * size,
+              size);
+  return TypedValue::FromElementBits(array.elem, bits);
 }
 
 TypedValue ApplyBinary(frontend::BinaryOp op, const TypedValue& lhs,
@@ -345,29 +356,9 @@ void WriteHostElement(const HostArray& array, std::int64_t index,
                 "host write out of range: " + name + "[" +
                     std::to_string(index) + "], extent " +
                     std::to_string(array.count));
-  std::byte* base = static_cast<std::byte*>(array.data);
-  switch (array.elem) {
-    case ir::ValType::kI32: {
-      const auto v = static_cast<std::int32_t>(value.AsInt());
-      std::memcpy(base + index * 4, &v, 4);
-      break;
-    }
-    case ir::ValType::kI64: {
-      const std::int64_t v = value.AsInt();
-      std::memcpy(base + index * 8, &v, 8);
-      break;
-    }
-    case ir::ValType::kF32: {
-      const auto v = static_cast<float>(value.AsDouble());
-      std::memcpy(base + index * 4, &v, 4);
-      break;
-    }
-    case ir::ValType::kF64: {
-      const double v = value.AsDouble();
-      std::memcpy(base + index * 8, &v, 8);
-      break;
-    }
-  }
+  const std::size_t size = ir::ValTypeSize(array.elem);
+  const std::uint64_t bits = value.ToElementBits(array.elem);
+  std::memcpy(static_cast<std::byte*>(array.data) + index * size, &bits, size);
 }
 
 bool TryFoldConstant(const Expr& expr, std::int64_t* out) {

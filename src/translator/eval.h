@@ -26,6 +26,13 @@ struct TypedValue {
   static TypedValue OfInt(std::int64_t v,
                           ir::ValType t = ir::ValType::kI64);
   static TypedValue OfDouble(double v, ir::ValType t = ir::ValType::kF64);
+
+  /// The value converted to `elem` as stored element bits (the low
+  /// ValTypeSize(elem) bytes; i32 zero-extended) — the layout of array
+  /// memory and of ir::CombineRaw operands.
+  std::uint64_t ToElementBits(ir::ValType elem) const;
+  /// Inverse of ToElementBits: element bits of `elem` as a typed value.
+  static TypedValue FromElementBits(ir::ValType elem, std::uint64_t bits);
 };
 
 /// A host-resident array visible to evaluated code.

@@ -1,10 +1,14 @@
 // Tests for the extensions beyond the paper's prototype:
-//  * weighted task mapping for heterogeneous GPUs,
+//  * spec-throughput task mapping (TaskMapper::kSpec) for heterogeneous
+//    GPUs,
 //  * 2-D stencils through the 1-D stride+halo form of localaccess — the
 //    paper's Section VI "future work", realizable because a row-major
 //    2-D row-block decomposition is exactly stride(C), left(C), right(C).
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "runtime/executor.h"
 #include "runtime/program.h"
 #include "sim/platform.h"
 
@@ -13,7 +17,9 @@ namespace {
 
 using runtime::AccProgram;
 using runtime::ProgramRunner;
+using runtime::Range;
 using runtime::RunConfig;
+using runtime::TaskMapper;
 
 constexpr char kScaleSource[] = R"(
 void scale(int n, float* x) {
@@ -41,7 +47,8 @@ double RunScale(sim::Platform& platform, bool weighted,
                 std::vector<float>& x) {
   const AccProgram program = AccProgram::FromSource("scale", kScaleSource);
   runtime::RunConfig config{.platform = &platform, .num_gpus = 2};
-  config.options.weighted_task_mapping = weighted;
+  config.options.mapper =
+      weighted ? runtime::TaskMapper::kSpec : runtime::TaskMapper::kEqual;
   ProgramRunner runner(program, config);
   runner.BindArray("x", x.data(), ir::ValType::kF32,
                    static_cast<std::int64_t>(x.size()));
@@ -76,6 +83,64 @@ TEST(WeightedMappingTest, NoChangeOnHomogeneousGpus) {
   auto p2 = sim::MakeDesktopMachine(2);
   const double weighted = RunScale(*p2, true, b);
   EXPECT_NEAR(weighted, equal, equal * 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Iteration split per task mapper, read back from the owned ranges of the
+// localaccess array (stride 1, so owned element ranges == iteration ranges)
+// ---------------------------------------------------------------------------
+
+/// Runs the scale loop `runs` times over n elements on the first `gpus`
+/// devices and returns each device's owned range of x after the last run.
+std::vector<Range> OwnedSplit(sim::Platform& platform, int gpus,
+                              TaskMapper mapper, std::int64_t n, int runs) {
+  const AccProgram program = AccProgram::FromSource("scale", kScaleSource);
+  const translator::CompiledFunction& fn = program.compiled().functions[0];
+  std::vector<float> x(static_cast<std::size_t>(n), 1.0f);
+  translator::HostEnv env;
+  env.SetScalar(*fn.function->params[0],
+                translator::TypedValue::OfInt(n, ir::ValType::kI32));
+  runtime::ManagedArray array("x", ir::ValType::kF32, n, x.data(),
+                              platform.num_devices());
+  runtime::ExecOptions options;
+  options.mapper = mapper;
+  std::vector<int> devices(static_cast<std::size_t>(gpus));
+  std::iota(devices.begin(), devices.end(), 0);
+  runtime::Executor executor(platform, options, devices);
+  for (int r = 0; r < runs; ++r) {
+    executor.RunOffload(
+        fn.offloads[0], env,
+        [&](const frontend::VarDecl&) -> runtime::ManagedArray& {
+          return array;
+        });
+  }
+  std::vector<Range> owned;
+  for (int d : devices) owned.push_back(array.shard(d).owned);
+  return owned;
+}
+
+TEST(TaskMapperSplitTest, EqualSplitFloorsProportionalBoundaries) {
+  auto platform = sim::MakeDesktopMachine(3);
+  EXPECT_EQ(OwnedSplit(*platform, 3, TaskMapper::kEqual, 7, 1),
+            (std::vector<Range>{{0, 2}, {2, 4}, {4, 7}}));
+}
+
+TEST(TaskMapperSplitTest, SpecSplitFollowsThroughputTable) {
+  auto platform = MakeHeterogeneousPlatform();
+  EXPECT_EQ(OwnedSplit(*platform, 2, TaskMapper::kSpec, 10001, 1),
+            (std::vector<Range>{{0, 6667}, {6667, 10001}}));
+}
+
+TEST(TaskMapperSplitTest, MeasuredSplitOnceTheSpeedTableIsFrozen) {
+  auto platform = MakeHeterogeneousPlatform();
+  // The first run splits equally and measures; the second uses the table.
+  EXPECT_EQ(OwnedSplit(*platform, 2, TaskMapper::kMeasured, 10001, 1),
+            (std::vector<Range>{{0, 5000}, {5000, 10001}}));
+  // Measured speeds include fixed per-launch costs, so at this size the
+  // split is far milder than the 2:1 spec ratio.
+  auto fresh = MakeHeterogeneousPlatform();
+  EXPECT_EQ(OwnedSplit(*fresh, 2, TaskMapper::kMeasured, 10001, 2),
+            (std::vector<Range>{{0, 5185}, {5185, 10001}}));
 }
 
 // ---------------------------------------------------------------------------

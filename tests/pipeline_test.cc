@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "runtime/program.h"
@@ -152,6 +153,51 @@ void histogram(int n, int k, int* keys, int* hist) {
   runner.Run("histogram");
   for (int b = 0; b < k; ++b) {
     EXPECT_EQ(hist[b], expected[b]) << "bucket " << b;
+  }
+}
+
+TEST(PipelineTest, ReductionToArraySectionOutsideArrayIsRejected) {
+  // hist[0:m] reaches past the k elements bound to hist. The multi-GPU
+  // executor, the validator and the CPU baseline resolve launch values
+  // through one resolver, so each refuses the section before running.
+  constexpr char kSource[] = R"(
+void h(int n, int k, int m, int* keys, int* hist) {
+  #pragma acc data copyin(keys[0:n]) copy(hist[0:k])
+  {
+    #pragma acc parallel loop
+    for (int i = 0; i < n; i++) {
+      int bucket = keys[i] % k;
+      #pragma acc reductiontoarray(+: hist[0:m])
+      hist[bucket] += 1;
+    }
+  }
+}
+)";
+  AccProgram program = AccProgram::FromSource("h", kSource);
+  constexpr int n = 64, k = 4;
+  for (const char* mode : {"gpu", "validate", "cpu"}) {
+    SCOPED_TRACE(mode);
+    auto platform = sim::MakeDesktopMachine(2);
+    RunConfig config{.platform = platform.get(), .num_gpus = 2};
+    config.use_cpu = std::string(mode) == "cpu";
+    config.options.validate = std::string(mode) == "validate";
+    std::vector<std::int32_t> keys(n, 1), hist(k, 0);
+    ProgramRunner runner(program, config);
+    runner.BindArray("keys", keys.data(), ir::ValType::kI32, n);
+    runner.BindArray("hist", hist.data(), ir::ValType::kI32, k);
+    runner.BindScalar("n", static_cast<std::int64_t>(n));
+    runner.BindScalar("k", static_cast<std::int64_t>(k));
+    runner.BindScalar("m", static_cast<std::int64_t>(k + 1));
+    try {
+      runner.Run("h");
+      ADD_FAILURE() << "out-of-range reductiontoarray section was accepted";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("reductiontoarray section outside array 'hist'"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(hist, std::vector<std::int32_t>(k, 0));
   }
 }
 

@@ -183,6 +183,12 @@ struct ReductionCase {
   const char* op;  // "+", "min", "max"
 };
 
+// Names each case by its contents, so test names do not depend on the
+// address of the string literal.
+void PrintTo(const ReductionCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << " op " << c.op;
+}
+
 class RandomReductionTest
     : public ::testing::TestWithParam<ReductionCase> {};
 

@@ -46,6 +46,10 @@ struct AffineCase {
   std::int64_t b;
 };
 
+// Names each case by its expression, so test names do not depend on the
+// address of the string literal.
+void PrintTo(const AffineCase& c, std::ostream* os) { *os << c.expr; }
+
 class AffineTest : public ::testing::TestWithParam<AffineCase> {};
 
 TEST_P(AffineTest, Matches) {

@@ -35,7 +35,7 @@
 //   validate=1    diff outputs against the native reference on finish
 //   trace=1       record spans; with --trace-dir, export job_<id>.json
 //   async=1       dependence-driven async offload pipeline
-//   weighted=1    throughput-weighted task mapping
+//   weighted=1    spec-throughput task mapping (TaskMapper::kSpec)
 //   no-check=1    disable the static directive checker (changes the key!)
 //   opt-level=N   translator mid-end level 0|1|2 (default 1; part of the
 //                 program-cache key, so levels never share an entry)
@@ -166,7 +166,9 @@ int SubmitFromParams(AccService& service, const Request& request,
   options.validate_result = flag_set("validate");
   options.exec.trace = flag_set("trace");
   options.exec.async_pipeline = flag_set("async");
-  options.exec.weighted_task_mapping = flag_set("weighted");
+  if (flag_set("weighted")) {
+    options.exec.mapper = accmg::runtime::TaskMapper::kSpec;
+  }
   options.compile.check_directives = !flag_set("no-check");
   if (const std::string* opt = param("opt-level")) {
     const int level = std::stoi(*opt);
