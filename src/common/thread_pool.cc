@@ -40,29 +40,30 @@ void ThreadPool::WorkerMain() {
   }
 }
 
-void ThreadPool::RunTasks(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
+void ThreadPool::Run(std::size_t count,
+                     const std::function<void(std::size_t)>& task) {
+  if (count == 0) return;
   // Completion state lives on this frame, so a worker decrements under
   // done_mutex: the caller cannot observe zero, return and destroy the
   // mutex while the last worker still holds it.
-  std::size_t remaining = tasks.size();
+  std::size_t remaining = count;
   std::mutex done_mutex;
   std::condition_variable done_cv;
   std::exception_ptr first_error;
-  std::mutex error_mutex;
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ACCMG_CHECK(!stopping_, "submitting work to a stopped pool");
-    for (auto& task : tasks) {
-      queue_.emplace([&, body = std::move(task)] {
+    for (std::size_t i = 0; i < count; ++i) {
+      queue_.emplace([&, i] {
+        std::exception_ptr error;
         try {
-          body();
+          task(i);
         } catch (...) {
-          std::lock_guard<std::mutex> elock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
+          error = std::current_exception();
         }
         std::lock_guard<std::mutex> dlock(done_mutex);
+        if (error && !first_error) first_error = error;
         if (--remaining == 0) done_cv.notify_all();
       });
     }
@@ -90,16 +91,10 @@ void ThreadPool::ParallelForChunks(
   const std::int64_t total = end - begin;
   const std::int64_t chunks =
       std::min<std::int64_t>(static_cast<std::int64_t>(workers_.size()), total);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<std::size_t>(chunks));
-  for (std::int64_t c = 0; c < chunks; ++c) {
-    const std::int64_t lo = begin + total * c / chunks;
-    const std::int64_t hi = begin + total * (c + 1) / chunks;
-    tasks.emplace_back([&body, lo, hi, c] {
-      body(lo, hi, static_cast<std::size_t>(c));
-    });
-  }
-  RunTasks(std::move(tasks));
+  Run(static_cast<std::size_t>(chunks), [&](std::size_t c) {
+    const auto i = static_cast<std::int64_t>(c);
+    body(begin + total * i / chunks, begin + total * (i + 1) / chunks, c);
+  });
 }
 
 }  // namespace accmg

@@ -184,8 +184,7 @@ class PhaseScope {
 /// stamped with that job id, so one ring buffer can hold interleaved spans
 /// of concurrent jobs and WriteChromeTrace(os, job) can split them apart
 /// again. Scopes nest; the innermost non-negative id wins. Fan-out code
-/// (the executor's per-device launcher threads) re-establishes the scope on
-/// each worker thread.
+/// that records spans on other threads must re-establish the scope there.
 class JobScope {
  public:
   explicit JobScope(int job);

@@ -319,6 +319,20 @@ void CombineRawSpan(RedOp op, ValType type, std::uint64_t* acc,
   }
 }
 
+void FoldPartialInto(RedOp op, ValType type, std::byte* base,
+                     std::int64_t lower,
+                     const std::vector<std::uint64_t>& partial) {
+  const std::size_t elem = ValTypeSize(type);
+  std::byte* p = base + static_cast<std::size_t>(lower) * elem;
+  for (const std::uint64_t value : partial) {
+    std::uint64_t current = 0;
+    std::memcpy(&current, p, elem);
+    current = CombineRaw(op, type, current, value);
+    std::memcpy(p, &current, elem);
+    p += elem;
+  }
+}
+
 KernelExec::KernelExec(const KernelIR& kernel) : kernel_(kernel) {
   Verify(kernel);
   bindings.resize(kernel.arrays.size());
@@ -342,8 +356,20 @@ void KernelExec::ResetOutputs() {
   }
 }
 
-void KernelExec::Execute(std::int64_t tid_begin, std::int64_t tid_end,
-                         sim::KernelStats& stats) const {
+namespace {
+
+/// Private outputs of one chunk (level 1 of the paper's hierarchical
+/// reduction: privatized per chunk of thread blocks).
+struct ExecChunk final : sim::ChunkOutput {
+  std::vector<std::uint64_t> scalar_red;
+  std::vector<std::vector<std::uint64_t>> array_red;
+  std::vector<std::vector<WriteMissRecord>> misses;  ///< per array binding
+};
+
+}  // namespace
+
+std::unique_ptr<sim::ChunkOutput> KernelExec::RunChunk(
+    std::int64_t tid_begin, std::int64_t tid_end) const {
   ACCMG_CHECK(bindings.size() == kernel_.arrays.size(),
               "kernel launch with unbound arrays");
   ACCMG_CHECK(scalar_values.size() == kernel_.scalars.size(),
@@ -351,20 +377,17 @@ void KernelExec::Execute(std::int64_t tid_begin, std::int64_t tid_end,
 
   std::vector<std::uint64_t> regs(static_cast<std::size_t>(kernel_.num_regs));
 
-  // Chunk-private reduction accumulators (level 1 of the paper's
-  // hierarchical reduction: privatized per thread block / worker chunk).
-  std::vector<std::uint64_t> local_scalar_red;
+  auto chunk = std::make_unique<ExecChunk>();
   for (const auto& red : kernel_.scalar_reductions) {
-    local_scalar_red.push_back(ReductionIdentity(red.op, red.type));
+    chunk->scalar_red.push_back(ReductionIdentity(red.op, red.type));
   }
-  std::vector<std::vector<std::uint64_t>> local_array_red;
   for (std::size_t i = 0; i < kernel_.array_reductions.size(); ++i) {
-    local_array_red.emplace_back(
+    chunk->array_red.emplace_back(
         static_cast<std::size_t>(array_red_length[i]),
         ReductionIdentity(kernel_.array_reductions[i].op,
                           kernel_.array_reductions[i].type));
   }
-  std::vector<std::vector<WriteMissRecord>> local_misses(bindings.size());
+  chunk->misses.resize(bindings.size());
 
   std::uint64_t instr = 0;
   std::uint64_t bytes_read = 0;
@@ -560,7 +583,7 @@ void KernelExec::Execute(std::int64_t tid_begin, std::int64_t tid_end,
           } else if (binding.miss != nullptr) {
             // Write miss on a distributed array: buffer the (address, data)
             // record for the communication manager (Section IV-D2).
-            local_misses[static_cast<std::size_t>(in.arr)].push_back(
+            chunk->misses[static_cast<std::size_t>(in.arr)].push_back(
                 WriteMissRecord{idx, raw});
           } else {
             throw DeviceError(
@@ -593,8 +616,8 @@ void KernelExec::Execute(std::int64_t tid_begin, std::int64_t tid_end,
           const auto& red = kernel_.scalar_reductions[slot];
           const std::uint64_t value =
               RegToElementRaw(REG(in.a), red.type);
-          local_scalar_red[slot] =
-              CombineRaw(red.op, red.type, local_scalar_red[slot], value);
+          chunk->scalar_red[slot] =
+              CombineRaw(red.op, red.type, chunk->scalar_red[slot], value);
           break;
         }
         case Opcode::kRedArray: {
@@ -612,7 +635,7 @@ void KernelExec::Execute(std::int64_t tid_begin, std::int64_t tid_end,
                               std::to_string(lower + length) + ")");
           }
           auto& cell =
-              local_array_red[slot][static_cast<std::size_t>(idx - lower)];
+              chunk->array_red[slot][static_cast<std::size_t>(idx - lower)];
           cell = CombineRaw(red.op, red.type, cell,
                             RegToElementRaw(REG(in.b), red.type));
           break;
@@ -644,34 +667,30 @@ void KernelExec::Execute(std::int64_t tid_begin, std::int64_t tid_end,
 #undef BIN_F
   }
 
-  // Merge chunk-private state (level 2 of the hierarchical reduction).
-  {
-    std::lock_guard<std::mutex> lock(merge_mutex_);
-    for (std::size_t s = 0; s < local_scalar_red.size(); ++s) {
-      const auto& red = kernel_.scalar_reductions[s];
-      scalar_red_results_[s] = CombineRaw(red.op, red.type,
-                                          scalar_red_results_[s],
-                                          local_scalar_red[s]);
-    }
-    for (std::size_t r = 0; r < local_array_red.size(); ++r) {
-      const auto& red = kernel_.array_reductions[r];
-      auto& shared = array_red_partials_[r];
-      for (std::size_t i = 0; i < shared.size(); ++i) {
-        shared[i] =
-            CombineRaw(red.op, red.type, shared[i], local_array_red[r][i]);
-      }
-    }
-  }
-  for (std::size_t a = 0; a < local_misses.size(); ++a) {
-    if (!local_misses[a].empty()) {
-      ACCMG_CHECK(bindings[a].miss != nullptr, "miss records without buffer");
-      bindings[a].miss->Append(local_misses[a]);
-    }
-  }
+  chunk->stats = sim::KernelStats{instr, bytes_read, bytes_written};
+  return chunk;
+}
 
-  stats.instructions += instr;
-  stats.bytes_read += bytes_read;
-  stats.bytes_written += bytes_written;
+void KernelExec::Fold(sim::ChunkOutput& output) {
+  auto& chunk = static_cast<ExecChunk&>(output);
+  for (std::size_t s = 0; s < chunk.scalar_red.size(); ++s) {
+    const auto& red = kernel_.scalar_reductions[s];
+    scalar_red_results_[s] = CombineRaw(red.op, red.type,
+                                        scalar_red_results_[s],
+                                        chunk.scalar_red[s]);
+  }
+  for (std::size_t r = 0; r < chunk.array_red.size(); ++r) {
+    const auto& red = kernel_.array_reductions[r];
+    CombineRawSpan(red.op, red.type, array_red_partials_[r].data(),
+                   chunk.array_red[r].data(), array_red_partials_[r].size());
+  }
+  for (std::size_t a = 0; a < chunk.misses.size(); ++a) {
+    if (chunk.misses[a].empty()) continue;
+    ACCMG_CHECK(bindings[a].miss != nullptr, "miss records without buffer");
+    std::vector<WriteMissRecord>& records = bindings[a].miss->records;
+    records.insert(records.end(), chunk.misses[a].begin(),
+                   chunk.misses[a].end());
+  }
 }
 
 }  // namespace accmg::ir

@@ -6,11 +6,14 @@
 // bound segment throws DeviceError — on real hardware that is a corrupted
 // result, here it is a loud failure), performs the paper's write-miss
 // spilling for distributed arrays, marks two-level dirty bits for replicated
-// arrays, and privatizes reductions per worker chunk.
+// arrays, and privatizes reductions and write-miss records per chunk of the
+// engine's fixed grid (sim/kernel.h). Chunks fold into the launch's outputs
+// in grid order, so float reductions and the miss replay order are the same
+// on every host.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
+#include <memory>
 #include <vector>
 
 #include "ir/ir.h"
@@ -25,16 +28,10 @@ struct WriteMissRecord {
   std::uint64_t raw = 0;
 };
 
-/// Per-device system buffer collecting write misses during a kernel.
+/// Per-device system buffer collecting write misses during a kernel, in
+/// chunk order (chunk batches are appended as the launch folds).
 struct MissBuffer {
-  std::mutex mutex;
   std::vector<WriteMissRecord> records;
-
-  void Append(const std::vector<WriteMissRecord>& batch) {
-    if (batch.empty()) return;
-    std::lock_guard<std::mutex> lock(mutex);
-    records.insert(records.end(), batch.begin(), batch.end());
-  }
 };
 
 /// Two-level dirty bit state for one replicated array (Section IV-D1).
@@ -70,7 +67,7 @@ class KernelExec final : public sim::KernelBody {
  public:
   explicit KernelExec(const KernelIR& kernel);
 
-  /// --- launch configuration (set before Platform::LaunchKernel) ---
+  /// --- launch configuration (set before Platform::LaunchKernels) ---
   std::vector<ArrayBinding> bindings;       ///< parallel to kernel.arrays
   std::vector<std::uint64_t> scalar_values; ///< parallel to kernel.scalars
   /// Added to the local thread id to form the loop iteration index
@@ -81,7 +78,7 @@ class KernelExec final : public sim::KernelBody {
   std::vector<std::int64_t> array_red_lower;
   std::vector<std::int64_t> array_red_length;
 
-  /// --- outputs (valid after the launch returns) ---
+  /// --- outputs (valid after the launch returns; chunks fold into them) ---
   /// Raw combined value per scalar reduction (initialized to the identity).
   const std::vector<std::uint64_t>& scalar_red_results() const {
     return scalar_red_results_;
@@ -94,15 +91,18 @@ class KernelExec final : public sim::KernelBody {
   /// Resets outputs to identities; must be called before every launch.
   void ResetOutputs();
 
-  void Execute(std::int64_t tid_begin, std::int64_t tid_end,
-               sim::KernelStats& stats) const override;
+  std::unique_ptr<sim::ChunkOutput> RunChunk(
+      std::int64_t tid_begin, std::int64_t tid_end) const override;
+
+  /// Level 2 of the hierarchical reduction: combines the chunk's partials
+  /// into the launch's outputs and appends its miss records to the buffers.
+  void Fold(sim::ChunkOutput& chunk) override;
 
  private:
   const KernelIR& kernel_;
 
-  mutable std::mutex merge_mutex_;
-  mutable std::vector<std::uint64_t> scalar_red_results_;
-  mutable std::vector<std::vector<std::uint64_t>> array_red_partials_;
+  std::vector<std::uint64_t> scalar_red_results_;
+  std::vector<std::vector<std::uint64_t>> array_red_partials_;
 };
 
 /// Identity element of a reduction, as raw bits of `type`.
@@ -111,6 +111,13 @@ std::uint64_t ReductionIdentity(RedOp op, ValType type);
 /// Combines two raw values of `type` with `op`, returning raw bits.
 std::uint64_t CombineRaw(RedOp op, ValType type, std::uint64_t a,
                          std::uint64_t b);
+
+/// Folds a dense reduction partial into the array elements it covers:
+/// base[lower + j] = CombineRaw(op, type, base[lower + j], partial[j]), where
+/// `base` holds elements of `type`.
+void FoldPartialInto(RedOp op, ValType type, std::byte* base,
+                     std::int64_t lower,
+                     const std::vector<std::uint64_t>& partial);
 
 /// In-place span combine: acc[j] = CombineRaw(op, type, acc[j], src[j]) for
 /// j in [0, n). Bit-identical to the per-element calls, but the op/type

@@ -1,8 +1,6 @@
 #include "runtime/cpu_executor.h"
 
 #include <algorithm>
-#include <cstring>
-#include <mutex>
 
 #include "common/error.h"
 #include "ir/exec.h"
@@ -36,17 +34,11 @@ void CpuExecutor::RunOffload(const translator::LoopOffload& offload,
   }
   exec.ResetOutputs();
 
-  sim::KernelStats stats;
-  std::mutex stats_mutex;
-  if (values.total > 0) {
-    platform_.workers().ParallelForChunks(
-        0, values.total, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          sim::KernelStats local;
-          exec.Execute(lo, hi, local);
-          std::lock_guard<std::mutex> lock(stats_mutex);
-          stats += local;
-        });
-  }
+  sim::KernelLaunch launch;
+  launch.body = &exec;
+  launch.num_threads = values.total;
+  launch.name = offload.name;
+  const sim::KernelStats stats = platform_.RunOnHost(launch);
 
   // Simulated CPU time: roofline against the CpuSpec.
   const auto& cpu = platform_.host_spec();
@@ -72,19 +64,9 @@ void CpuExecutor::RunOffload(const translator::LoopOffload& offload,
   for (std::size_t r = 0; r < offload.array_reds.size(); ++r) {
     const auto& red = offload.array_reds[r];
     const auto& slot = offload.kernel.array_reductions[r];
-    const HostArray dest = resolve(*red.decl);
-    const std::size_t elem = ir::ValTypeSize(slot.type);
-    auto* base = static_cast<std::byte*>(dest.data);
-    const auto& partial = exec.array_red_partials()[r];
-    for (std::size_t j = 0; j < partial.size(); ++j) {
-      const std::size_t index =
-          static_cast<std::size_t>(values.red_lower[r]) + j;
-      std::uint64_t current = 0;
-      std::memcpy(&current, base + index * elem, elem);
-      const std::uint64_t merged =
-          ir::CombineRaw(slot.op, slot.type, current, partial[j]);
-      std::memcpy(base + index * elem, &merged, elem);
-    }
+    ir::FoldPartialInto(slot.op, slot.type,
+                        static_cast<std::byte*>(resolve(*red.decl).data),
+                        values.red_lower[r], exec.array_red_partials()[r]);
   }
 }
 

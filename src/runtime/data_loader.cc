@@ -12,6 +12,10 @@ namespace accmg::runtime {
 
 namespace {
 
+/// Device memory reserved per GPU for the write-miss system buffer of each
+/// miss-checked array.
+constexpr std::size_t kMissBufferBytes = 4u << 20;
+
 /// Registry handles mirroring LoaderStats into the unified metrics
 /// namespace.
 struct LoaderMetrics {
@@ -241,7 +245,7 @@ void DataLoader::EnsureSystemBuffers(const ArrayRequirement& req) {
     if (req.miss_checked) {
       if (shard.miss_capacity == nullptr) {
         shard.miss_capacity = platform_.device(device).Allocate(
-            "sys:miss:" + array.name(), options_.miss_buffer_bytes);
+            "sys:miss:" + array.name(), kMissBufferBytes);
       }
       shard.miss.records.clear();
     } else {

@@ -1,8 +1,6 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
-#include <exception>
-#include <thread>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -142,9 +140,8 @@ struct Executor::OffloadStep {
   /// clock at launch issue, so loading skew that already advanced the clock
   /// is not charged to any one device's kernel speed.
   double launch_floor = 0;
-  std::vector<double> interior_end;  ///< end of the interior (or only) launch
-  std::vector<double> device_end;    ///< end of the device's last launch
-  double kernel_done = 0;            ///< max of device_end
+  std::vector<double> device_end;  ///< end of the device's last launch
+  double kernel_done = 0;          ///< max of device_end
 };
 
 Executor::Executor(sim::Platform& platform, ExecOptions options,
@@ -161,7 +158,7 @@ Executor::Executor(sim::Platform& platform, ExecOptions options,
                   "executor device id out of range");
   }
   if (options_.validate) {
-    validator_ = std::make_unique<Validator>(platform_, options_, devices_);
+    validator_ = std::make_unique<Validator>(platform_, devices_);
   }
 }
 
@@ -249,7 +246,6 @@ void Executor::RunOffloadWithRecovery(const LoopOffload& offload,
   OffloadCheckpoint checkpoint;
   checkpoint.Capture(offload, env, resolve);
 
-  double backoff = options_.fault_backoff_s;
   int transient_retries = 0;
   for (;;) {
     CheckInterrupts();
@@ -288,17 +284,9 @@ void Executor::RunOffloadWithRecovery(const LoopOffload& offload,
         continue;
       }
 
-      if (transient_retries >= options_.fault_max_retries) {
-        recovery.failures.Add(delta);
+      if (!RetryTransient(platform_, offload.name, delta, transient_retries)) {
         throw;
       }
-      recovery.retries.Add(delta);
-      recovery.retry_rounds.Add();
-      recovery.backoff_sim_seconds.Observe(backoff);
-      trace::Span span("retry:" + offload.name, "recovery");
-      platform_.clock().AddSerial(sim::TimeCategory::kOther, backoff);
-      backoff = std::min(backoff * 2, options_.fault_backoff_cap_s);
-      ++transient_retries;
     }
   }
 }
@@ -469,46 +457,24 @@ void Executor::LaunchKernels(OffloadStep& step) {
     }
   }
 
-  // Setup + launches run concurrently, one thread per device: each kernel's
-  // functional execution (Platform::LaunchKernel) is itself host work, so
-  // device-after-device launching would serialize it on the harness wall
-  // clock even though the sim clock already models the overlap. Billing is
-  // thread-safe and per-device resources are disjoint, so simulated time is
-  // unchanged.
-  step.execs.resize(n);
-  step.interior_end.assign(n, 0);
+  // One batch carries every device's launches, so their chunks share the
+  // platform's pool and the sim clock schedules them in issue order.
   step.device_end.assign(n, 0);
   step.launch_floor = platform_.clock().Now();
-  if (n == 1) {
-    LaunchOnDevice(step, 0);
-  } else {
-    std::vector<std::exception_ptr> errors(n);
-    std::vector<std::thread> launchers;
-    launchers.reserve(n);
-    for (std::size_t g = 0; g < n; ++g) {
-      launchers.emplace_back([&, g] {
-        // Fresh threads don't inherit the caller's thread-local job label;
-        // re-establish it so per-device spans stay attributable to the job.
-        trace::JobScope job_scope(options_.job_id);
-        try {
-          LaunchOnDevice(step, g);
-        } catch (...) {
-          errors[g] = std::current_exception();
-        }
-      });
-    }
-    for (auto& launcher : launchers) launcher.join();
-    for (const auto& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-  }
+  std::vector<sim::DeviceLaunch> batch;
+  for (std::size_t g = 0; g < n; ++g) AddDeviceLaunches(step, g, batch);
+  platform_.LaunchKernels(batch);
 
   // Time up to the slowest interior is kernel execution; any boundary tail
   // beyond it exists only because the boundary waited on an in-flight
-  // exchange, so that remainder is exposed GPU-GPU time.
+  // exchange, so that remainder is exposed GPU-GPU time. Each device's
+  // launches are contiguous in the batch, its interior (or only) one first.
   double interior_max = 0;
-  for (std::size_t g = 0; g < n; ++g) {
-    interior_max = std::max(interior_max, step.interior_end[g]);
+  for (std::size_t g = 0, i = 0; g < n; ++g) {
+    interior_max = std::max(interior_max, batch[i].end_s);
+    for (; i < batch.size() && batch[i].device_id == devices_[g]; ++i) {
+      step.device_end[g] = std::max(step.device_end[g], batch[i].end_s);
+    }
     step.kernel_done = std::max(step.kernel_done, step.device_end[g]);
   }
   platform_.clock().AdvanceTo(Floor(interior_max), sim::TimeCategory::kKernel);
@@ -524,9 +490,10 @@ void Executor::LaunchKernels(OffloadStep& step) {
 // One KernelExec per device runs one full-range launch, or under a
 // pipeline split up to three sub-launches: interior first (it never waits
 // on halos), then the lead and trail boundary windows gated on halo_gate.
-// ResetOutputs is called once, so reduction partials accumulate across the
-// sub-launches exactly as one full-range launch would.
-void Executor::LaunchOnDevice(OffloadStep& step, std::size_t g) {
+// The sub-launches share the KernelExec and continue its thread grid, so
+// reduction partials fold across them exactly as one full-range launch's.
+void Executor::AddDeviceLaunches(OffloadStep& step, std::size_t g,
+                                 std::vector<sim::DeviceLaunch>& batch) {
   const LoopOffload& offload = step.offload;
   const Range task = step.tasks[g];
   auto exec = std::make_unique<ir::KernelExec>(offload.kernel);
@@ -552,42 +519,34 @@ void Executor::LaunchOnDevice(OffloadStep& step, std::size_t g) {
     }
     if (param.miss_checked) binding.miss = &shard.miss;
   }
+  exec->iteration_offset = step.values.lower + task.lo;
   exec->ResetOutputs();
 
-  auto sub_launch = [&](std::int64_t first_iter, std::int64_t threads,
-                        const char* suffix, double ready_at) {
-    sim::KernelLaunch launch;
-    launch.body = exec.get();
-    launch.num_threads = threads;
-    launch.block_size = options_.block_size;
-    launch.name = suffix != nullptr ? offload.name + suffix : offload.name;
-    launch.ready_at = ready_at;
-    exec->iteration_offset = step.values.lower + task.lo + first_iter;
-    double end = 0;
-    platform_.LaunchKernel(devices_[g], launch, &end);
-    return end;
+  auto add = [&](std::int64_t first_iter, std::int64_t threads,
+                 const char* suffix, double ready_at) {
+    sim::DeviceLaunch& dl = batch.emplace_back();
+    dl.device_id = devices_[g];
+    dl.launch.body = exec.get();
+    dl.launch.num_threads = threads;
+    dl.launch.block_size = options_.block_size;
+    dl.launch.name = suffix != nullptr ? offload.name + suffix : offload.name;
+    dl.launch.ready_at = ready_at;
+    dl.launch.first_thread = first_iter;
   };
 
   const SplitPlan& plan = step.plans[g];
   if (!plan.split) {
     // Unsplit kernels may read halo elements, so they gate on halo_gate.
-    step.interior_end[g] = sub_launch(0, task.size(), nullptr, step.halo_gate);
-    step.device_end[g] = step.interior_end[g];
+    add(0, task.size(), nullptr, step.halo_gate);
   } else {
     const std::int64_t size = task.size();
-    step.interior_end[g] = sub_launch(
-        plan.lead, size - plan.lead - plan.trail, ":interior", 0);
-    double end = step.interior_end[g];
-    if (plan.lead > 0) {
-      end = std::max(end, sub_launch(0, plan.lead, ":lead", step.halo_gate));
-    }
+    add(plan.lead, size - plan.lead - plan.trail, ":interior", 0);
+    if (plan.lead > 0) add(0, plan.lead, ":lead", step.halo_gate);
     if (plan.trail > 0) {
-      end = std::max(end, sub_launch(size - plan.trail, plan.trail, ":trail",
-                                     step.halo_gate));
+      add(size - plan.trail, plan.trail, ":trail", step.halo_gate);
     }
-    step.device_end[g] = end;
   }
-  step.execs[g] = std::move(exec);
+  step.execs.push_back(std::move(exec));
 }
 
 // Fills the shared throughput table from the first equal-split execution

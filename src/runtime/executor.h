@@ -111,7 +111,9 @@ class Executor {
   void MapTasks(OffloadStep& step);
   void PlaceArrays(OffloadStep& step);
   void LaunchKernels(OffloadStep& step);
-  void LaunchOnDevice(OffloadStep& step, std::size_t g);
+  /// Binds device g's kernel and appends its launches to `batch`.
+  void AddDeviceLaunches(OffloadStep& step, std::size_t g,
+                         std::vector<sim::DeviceLaunch>& batch);
   void CombineReductions(OffloadStep& step);
   void Cohere(OffloadStep& step);
   /// Fills the measured mapper's speed table from `step`'s kernel timings.

@@ -660,20 +660,12 @@ void HostInterpreter::SyncForHostAccess(const Stmt& stmt) {
 }
 
 double HostInterpreter::GuardedGather(ManagedArray& array) {
-  sim::Platform& platform = *runner_.config_.platform;
-  if (!platform.faults().armed()) {
-    return gpu_->loader().GatherToHost(array);
-  }
-  return RetryTransfer(platform, gpu_->options(), "gather",
+  return RetryTransfer(*runner_.config_.platform, "gather",
                        [&] { return gpu_->loader().GatherToHost(array); });
 }
 
 double HostInterpreter::GuardedScatter(ManagedArray& array) {
-  sim::Platform& platform = *runner_.config_.platform;
-  if (!platform.faults().armed()) {
-    return gpu_->loader().ScatterFromHost(array);
-  }
-  return RetryTransfer(platform, gpu_->options(), "scatter",
+  return RetryTransfer(*runner_.config_.platform, "scatter",
                        [&] { return gpu_->loader().ScatterFromHost(array); });
 }
 

@@ -50,8 +50,8 @@ class HostInterpreter {
   /// the host, and invalidate device copies the statement will overwrite.
   void SyncForHostAccess(const frontend::Stmt& stmt);
 
-  /// GatherToHost / ScatterFromHost with the fault-retry policy wrapped
-  /// around them when the injector is armed (runtime/recovery.h). These
+  /// GatherToHost / ScatterFromHost under the fault-retry policy
+  /// (runtime/recovery.h; a no-op while the injector is disarmed). These
   /// transfers run outside any offload, so the executor's checkpoint loop
   /// doesn't cover them; they are idempotent (billing precedes the memcpy)
   /// and therefore safe to re-issue as-is.

@@ -37,9 +37,6 @@ struct ExecOptions {
   /// Second-level dirty-bit chunk size (paper Section IV-D1 picks 1 MB).
   std::size_t dirty_chunk_bytes = 1 << 20;
 
-  /// Capacity reserved per GPU for the write-miss system buffer.
-  std::size_t miss_buffer_bytes = 4u << 20;
-
   /// Logical CUDA block size used for grid geometry.
   int block_size = 256;
 
@@ -73,29 +70,11 @@ struct ExecOptions {
   bool validate = false;
 
   /// Identifies the service job this execution belongs to (-1 outside the
-  /// resident service). The runtime wraps its worker entry points in
-  /// trace::JobScope(job_id) so every recorded span — including those from
-  /// per-device launcher threads — carries the job label, which is what
-  /// per-job Chrome-trace export filters on (service/service.h).
+  /// resident service). The runtime wraps its entry points in
+  /// trace::JobScope(job_id) so every recorded span carries the job label,
+  /// which is what per-job Chrome-trace export filters on
+  /// (service/service.h).
   int job_id = -1;
-
-  /// Relative tolerance used by the validator when comparing floating-point
-  /// reduction results: chunk merge order differs between the multi-GPU run
-  /// and the golden run, so float reductions are only reproducible up to
-  /// rounding. Non-reduction stores are compared bit-exactly.
-  double validate_rel_tol = 1e-5;
-
-  /// Fault recovery (docs/ROBUSTNESS.md): how many times one offload (or one
-  /// guarded transfer) may be retried after a transient injected fault before
-  /// the fault escalates to the caller. Device losses do not consume retries
-  /// — they trigger a device-set shrink instead.
-  int fault_max_retries = 3;
-
-  /// Initial retry backoff in simulated seconds; doubles per retry round up
-  /// to fault_backoff_cap_s. Billed on the simulated clock (kOther) so
-  /// recovery latency is visible in traces and bench output.
-  double fault_backoff_s = 1e-4;
-  double fault_backoff_cap_s = 1e-2;
 
   /// Per-job deadline in simulated seconds (0 = none). When the simulated
   /// clock advances past start + deadline, the executor throws

@@ -1,6 +1,6 @@
 #include "runtime/recovery.h"
 
-#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 
@@ -61,30 +61,39 @@ void OffloadCheckpoint::Restore(translator::HostEnv& env) const {
   RecoveryMetrics::Get().rollbacks.Add();
 }
 
-double RetryTransfer(sim::Platform& platform, const ExecOptions& options,
-                     const char* what, const std::function<double()>& op) {
+bool RetryTransient(sim::Platform& platform, const std::string& what,
+                    std::uint64_t delta, int& retries) {
   auto& recovery = RecoveryMetrics::Get();
+  if (retries >= kFaultMaxRetries) {
+    recovery.failures.Add(delta);
+    return false;
+  }
+  const double backoff = std::ldexp(kFaultBackoffS, retries);
+  recovery.retries.Add(delta);
+  recovery.retry_rounds.Add();
+  recovery.backoff_sim_seconds.Observe(backoff);
+  trace::Span span("retry:" + what, "recovery");
+  platform.clock().AddSerial(sim::TimeCategory::kOther, backoff);
+  ++retries;
+  return true;
+}
+
+double RetryTransfer(sim::Platform& platform, const char* what,
+                     const std::function<double()>& op) {
   const sim::FaultInjector& faults = platform.faults();
-  double backoff = options.fault_backoff_s;
-  for (int attempt = 0;; ++attempt) {
+  int retries = 0;
+  for (;;) {
     const std::uint64_t injected_before = faults.injected();
     try {
       return op();
-    } catch (const FaultError& fault) {
+    } catch (const FaultError&) {
       // DeviceLostError is retryable here too: the transfer is idempotent
       // (billing precedes the memcpy) and a retried gather prefers replicas
       // on alive devices, so losing one source mid-gather is survivable.
-      const std::uint64_t delta = faults.injected() - injected_before;
-      if (attempt >= options.fault_max_retries) {
-        recovery.failures.Add(delta);
+      if (!RetryTransient(platform, what, faults.injected() - injected_before,
+                          retries)) {
         throw;
       }
-      recovery.retries.Add(delta);
-      recovery.retry_rounds.Add();
-      recovery.backoff_sim_seconds.Observe(backoff);
-      trace::Span span(std::string("retry:") + what, "recovery");
-      platform.clock().AddSerial(sim::TimeCategory::kOther, backoff);
-      backoff = std::min(backoff * 2, options.fault_backoff_cap_s);
     }
   }
 }

@@ -20,10 +20,13 @@
 //    retry after a device loss correct: the dead device's shards are gone
 //    and the survivors reload their (re)partitioned segments from host.
 //
+//  * RetryTransient — the one transient-retry policy: capped exponential
+//    backoff on the simulated clock, kFaultMaxRetries retries. The
+//    executor's whole-offload retry loop and RetryTransfer both use it.
+//
 //  * RetryTransfer — wraps an idempotent host<->device transfer (gathers
 //    and scatters issued by the host interpreter outside any offload) in
-//    the same capped-exponential-backoff retry loop the executor uses for
-//    whole offloads. The wrapped op must be restartable as-is: Copy* bills
+//    the same policy. The wrapped op must be restartable as-is: Copy* bills
 //    (and injects) before moving bytes, so a faulted transfer leaves the
 //    destination untouched, and GatherToHost prefers replicas on alive
 //    devices — which is why even a DeviceLostError is worth retrying here.
@@ -31,11 +34,11 @@
 
 #include <cstddef>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/metrics.h"
 #include "runtime/managed_array.h"
-#include "runtime/options.h"
 #include "runtime/validator.h"
 #include "sim/platform.h"
 #include "translator/eval.h"
@@ -86,12 +89,30 @@ class OffloadCheckpoint {
   std::vector<ScalarImage> scalar_reds_;
 };
 
-/// Runs `op` (returning a simulated end time) under the fault-retry policy
-/// of `options`: on FaultError, bills exponential backoff on the simulated
-/// clock and retries up to options.fault_max_retries times before
-/// escalating. Attributes every injected fault to recovery.retries or
-/// recovery.failures (delta accounting). `what` labels trace/log output.
-double RetryTransfer(sim::Platform& platform, const ExecOptions& options,
-                     const char* what, const std::function<double()>& op);
+/// Transient-fault retry policy (docs/ROBUSTNESS.md): one offload, or one
+/// guarded transfer, is retried at most kFaultMaxRetries times. The first
+/// retry waits kFaultBackoffS simulated seconds and each further one doubles
+/// the wait (100, 200, 400 µs). Device losses do not consume retries — the
+/// executor shrinks the device set instead.
+inline constexpr int kFaultMaxRetries = 3;
+inline constexpr double kFaultBackoffS = 1e-4;
+
+/// Absorbs one failed attempt of an offload or guarded transfer whose
+/// injected faults number `delta`; `retries` counts the retries so far.
+/// With the budget spent, attributes the faults to recovery.failures and
+/// returns false: the caller rethrows. Otherwise attributes them to
+/// recovery.retries, bills the backoff on the simulated clock (kOther)
+/// inside a `retry:<what>` span, counts the retry and returns true: the
+/// caller retries.
+bool RetryTransient(sim::Platform& platform, const std::string& what,
+                    std::uint64_t delta, int& retries);
+
+/// Runs `op` (returning a simulated end time) under RetryTransient,
+/// attributing every injected fault to recovery.retries or
+/// recovery.failures (delta accounting). Only injected faults are retried,
+/// so with the injector disarmed this just runs `op`. `what` labels
+/// trace/log output.
+double RetryTransfer(sim::Platform& platform, const char* what,
+                     const std::function<double()>& op);
 
 }  // namespace accmg::runtime

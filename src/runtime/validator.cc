@@ -25,12 +25,6 @@ std::uint64_t LoadRaw(const std::byte* base, std::size_t elem_size,
   return raw;
 }
 
-void StoreRaw(std::byte* base, std::size_t elem_size,
-              std::int64_t elem_offset, std::uint64_t raw) {
-  std::memcpy(base + elem_offset * static_cast<std::int64_t>(elem_size), &raw,
-              elem_size);
-}
-
 double RawToDouble(ir::ValType type, std::uint64_t raw) {
   return translator::TypedValue::FromElementBits(type, raw).AsDouble();
 }
@@ -49,17 +43,25 @@ std::string RawToString(ir::ValType type, std::uint64_t raw) {
   return "?";
 }
 
-/// Float equality up to `rel_tol` (used only where the merge order between
-/// the multi-GPU and golden runs legitimately differs); exact otherwise.
+/// Relative tolerance for float reduction results. Both runs are
+/// deterministic, but they fold in different orders: the golden run is one
+/// left fold over the whole iteration space, the multi-GPU run folds each
+/// chunk, then each device, then combines the devices. Float rounding
+/// differs accordingly.
+constexpr double kReductionRelTol = 1e-5;
+
+/// Float equality up to kReductionRelTol (used only where the fold order
+/// between the multi-GPU and golden runs legitimately differs); exact
+/// otherwise.
 bool RawMatches(ir::ValType type, std::uint64_t a, std::uint64_t b,
-                bool approximate, double rel_tol) {
+                bool approximate) {
   if (a == b) return true;
   if (!approximate || !ir::IsFloat(type)) return false;
   const double da = RawToDouble(type, a);
   const double db = RawToDouble(type, b);
   if (std::isnan(da) && std::isnan(db)) return true;
   const double scale = std::max({1.0, std::abs(da), std::abs(db)});
-  return std::abs(da - db) <= rel_tol * scale;
+  return std::abs(da - db) <= kReductionRelTol * scale;
 }
 
 /// Human-readable position of flat element `i` in `array`: plain index for
@@ -109,9 +111,8 @@ class BillingGuard {
 
 }  // namespace
 
-Validator::Validator(sim::Platform& platform, const ExecOptions& options,
-                     std::vector<int> devices)
-    : platform_(platform), options_(options), devices_(std::move(devices)) {}
+Validator::Validator(sim::Platform& platform, std::vector<int> devices)
+    : platform_(platform), devices_(std::move(devices)) {}
 
 void Validator::Diverge(const std::string& message) {
   ++stats_.divergences;
@@ -190,8 +191,7 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
     const std::uint64_t actual =
         env.GetScalar(*red.decl).ToElementBits(slot.type);
     ++stats_.elements_compared;
-    if (!RawMatches(slot.type, actual, golden_value, /*approximate=*/true,
-                    options_.validate_rel_tol)) {
+    if (!RawMatches(slot.type, actual, golden_value, /*approximate=*/true)) {
       Diverge("kernel '" + offload.name + "': scalar reduction '" +
               red.decl->name + "' diverges: multi-GPU=" +
               RawToString(slot.type, actual) + " golden=" +
@@ -204,7 +204,6 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
   // privatized partials, never into the destination bytes). ---
   for (std::size_t r = 0; r < offload.array_reds.size(); ++r) {
     const auto& slot = offload.kernel.array_reductions[r];
-    ManagedArray& dest = resolve(*offload.array_reds[r].decl);
     std::byte* golden = nullptr;
     for (auto& g : arrays_) {
       if (g.config->decl == offload.array_reds[r].decl) {
@@ -212,15 +211,8 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
       }
     }
     ACCMG_CHECK(golden != nullptr, "reduction destination not captured");
-    const std::size_t esize = dest.elem_size();
-    const auto& partial = exec.array_red_partials()[r];
-    for (std::int64_t j = 0; j < values_.red_length[r]; ++j) {
-      const std::int64_t at = values_.red_lower[r] + j;
-      StoreRaw(golden, esize, at,
-               ir::CombineRaw(slot.op, slot.type,
-                              LoadRaw(golden, esize, at),
-                              partial[static_cast<std::size_t>(j)]));
-    }
+    ir::FoldPartialInto(slot.op, slot.type, golden, values_.red_lower[r],
+                        exec.array_red_partials()[r]);
   }
 
   // --- diff every shard and the host image against the golden image ---
@@ -231,7 +223,7 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
     ManagedArray& array = resolve(*config.decl);
     const std::size_t esize = array.elem_size();
     // Reduction destinations tolerate float rounding: the multi-GPU result
-    // merges per-chunk partials in a different order than the golden run.
+    // folds its partials in a different order than the golden run.
     const bool approximate = config.is_reduction_dest;
 
     for (int device : devices_) {
@@ -245,8 +237,7 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
             LoadRaw(resident, esize, i - shard.loaded.lo);
         const std::uint64_t expected = LoadRaw(golden.bytes.data(), esize, i);
         ++stats_.elements_compared;
-        if (!RawMatches(config.elem, actual, expected, approximate,
-                        options_.validate_rel_tol)) {
+        if (!RawMatches(config.elem, actual, expected, approximate)) {
           Diverge("kernel '" + offload.name + "': array '" + config.name +
                   "' diverges at element " + ElementCoord(array, i) +
                   " on device " + std::to_string(device) + ": multi-GPU=" +
@@ -262,8 +253,7 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
         const std::uint64_t actual = LoadRaw(host, esize, i);
         const std::uint64_t expected = LoadRaw(golden.bytes.data(), esize, i);
         ++stats_.elements_compared;
-        if (!RawMatches(config.elem, actual, expected, approximate,
-                        options_.validate_rel_tol)) {
+        if (!RawMatches(config.elem, actual, expected, approximate)) {
           Diverge("kernel '" + offload.name + "': host image of '" +
                   config.name + "' is marked valid but diverges at element " +
                   ElementCoord(array, i) + ": host=" +

@@ -9,7 +9,7 @@
 //     misses all surface as the first divergent element),
 //   * the host image when the runtime claims it is valid,
 //   * scalar and array reduction results (floats up to a relative
-//     tolerance — chunk-merge order differs between the two runs),
+//     tolerance — the two runs fold partials in different fixed orders),
 //   * post-kernel invariants: dirty bits fully cleared after propagation,
 //     miss buffers drained after replay, written arrays marked valid on
 //     every participant with the host image invalidated,
@@ -28,7 +28,6 @@
 
 #include "runtime/launch.h"
 #include "runtime/managed_array.h"
-#include "runtime/options.h"
 #include "sim/platform.h"
 #include "translator/eval.h"
 #include "translator/offload.h"
@@ -47,8 +46,7 @@ struct ValidatorStats {
 
 class Validator {
  public:
-  Validator(sim::Platform& platform, const ExecOptions& options,
-            std::vector<int> devices);
+  Validator(sim::Platform& platform, std::vector<int> devices);
 
   /// Captures the authoritative pre-kernel state: a golden host copy of
   /// every array the offload touches, scalar argument values, and the
@@ -84,7 +82,6 @@ class Validator {
   [[noreturn]] void Diverge(const std::string& message);
 
   sim::Platform& platform_;
-  ExecOptions options_;
   std::vector<int> devices_;
   ValidatorStats stats_;
 

@@ -12,10 +12,11 @@
 //   DeviceLostError    permanent device death (not retryable on that device)
 //
 // Determinism: every decision is a pure function of (plan seed, fault site,
-// device id, per-(site,device) operation index). The multiset of operations
-// each (site, device) pair issues is deterministic for a given program run,
-// so the set of injected faults is reproducible even though concurrent
-// per-device threads interleave their calls nondeterministically.
+// device id, per-(site,device) operation index). The sequence of operations
+// each (site, device) pair issues is deterministic for a given program run —
+// a launch batch consults the injector per launch in issue order — so the
+// set of injected faults is reproducible even when service jobs on disjoint
+// device leases interleave their calls.
 //
 // Dead devices: once a device is lost, every subsequent operation touching
 // it throws DeviceLostError. Only the *killing* operation counts toward
@@ -35,7 +36,7 @@ namespace accmg::sim {
 
 /// Where in the platform an operation is about to execute.
 enum class FaultSite : int {
-  kKernel = 0,  ///< Platform::LaunchKernel
+  kKernel = 0,  ///< Platform::LaunchKernels
   kH2D = 1,     ///< Bill/CopyHostToDevice
   kD2H = 2,     ///< Bill/CopyDeviceToHost
   kP2P = 3,     ///< Bill/CopyDeviceToDevice (source device)
@@ -77,8 +78,8 @@ struct FaultPlan {
   static FaultPlan Chaos(std::uint64_t seed);
 };
 
-/// The platform-owned injector. Thread-safe: Bill*/LaunchKernel call
-/// OnOperation from concurrent per-device threads.
+/// The platform-owned injector. Thread-safe: concurrent service jobs call
+/// OnOperation through Bill* and LaunchKernels.
 class FaultInjector {
  public:
   /// Arms the plan for a platform with `num_devices` devices. Resets all

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <exception>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -62,6 +64,68 @@ void RecordSimSpan(NameFn&& make_name, const char* fallback_cat, int device,
   event.start_us = (end_s - duration_s) * 1e6;
   event.duration_us = duration_s * 1e6;
   tracer.Record(std::move(event));
+}
+
+/// Runs the chunks of all `launches` as one batch on `pool`. Each launch's
+/// chunks fold in grid order into its body and its stats, and its first
+/// error in chunk order is recorded.
+void RunChunks(ThreadPool& pool, const std::vector<DeviceLaunch*>& launches) {
+  struct Chunk {
+    DeviceLaunch* dl;
+    std::size_t body;  // index into `bodies`
+    std::int64_t lo, hi;
+    std::unique_ptr<ChunkOutput> output;
+    std::exception_ptr error;
+  };
+  std::vector<Chunk> chunks;        // launch by launch, each in grid order
+  std::vector<KernelBody*> bodies;  // distinct, in issue order
+  for (DeviceLaunch* dl : launches) {
+    const KernelLaunch& launch = dl->launch;
+    ACCMG_REQUIRE(launch.body != nullptr, "kernel launch without a body");
+    ACCMG_REQUIRE(launch.num_threads >= 0, "negative thread count");
+    ACCMG_REQUIRE(launch.block_size > 0, "non-positive block size");
+    const auto it = std::find(bodies.begin(), bodies.end(), launch.body);
+    const auto body = static_cast<std::size_t>(it - bodies.begin());
+    if (it == bodies.end()) bodies.push_back(launch.body);
+    // The grid depends on the thread count alone (sim/kernel.h).
+    const std::int64_t n = launch.num_threads;
+    const std::int64_t count = std::min(n, kMaxLaunchChunks);
+    for (std::int64_t c = 0; c < count; ++c) {
+      chunks.push_back(Chunk{dl, body, launch.first_thread + n * c / count,
+                             launch.first_thread + n * (c + 1) / count,
+                             nullptr, nullptr});
+    }
+  }
+  // The task that finishes a body's last chunk folds all of that body's
+  // chunks in order, so each body folds on one thread while other bodies
+  // (one per device in an offload) may still run.
+  std::vector<std::atomic<std::size_t>> pending(bodies.size());
+  for (const Chunk& chunk : chunks) {
+    pending[chunk.body].fetch_add(1, std::memory_order_relaxed);
+  }
+  auto fold = [&](std::size_t body) {
+    for (Chunk& chunk : chunks) {
+      if (chunk.body != body) continue;
+      DeviceLaunch& dl = *chunk.dl;
+      if (chunk.error) {
+        if (!dl.error) dl.error = chunk.error;
+        continue;
+      }
+      dl.launch.body->Fold(*chunk.output);
+      dl.stats += chunk.output->stats;
+    }
+  };
+  pool.Run(chunks.size(), [&](std::size_t i) {
+    Chunk& chunk = chunks[i];
+    try {
+      chunk.output = chunk.dl->launch.body->RunChunk(chunk.lo, chunk.hi);
+    } catch (...) {
+      chunk.error = std::current_exception();
+    }
+    if (pending[chunk.body].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      fold(chunk.body);
+    }
+  });
 }
 
 }  // namespace
@@ -142,41 +206,20 @@ std::vector<SimClock::Resource> Platform::RootResources(int device_id) const {
 
 double Platform::BillHostToDevice(int device_id, std::size_t bytes,
                                   double ready_at) {
-  if (bytes == 0) return clock_.Now();
-  double fault_mult = 1.0;
-  if (faults_.armed()) {
-    fault_mult = faults_.OnOperation(FaultSite::kH2D, device_id);
-  }
-  auto resources = RootResources(device_id);
-  resources.push_back(device(device_id).dma_resource());
-  const double duration =
-      fault_mult * topology_.host_link.TransferSeconds(bytes);
-  double end;
-  {
-    std::lock_guard<std::mutex> lock(accounting_mutex_);
-    end = clock_.ScheduleAfter(resources, duration, ready_at);
-    ++counters_.h2d_transfers;
-    counters_.h2d_bytes += bytes;
-    auto& dev = device_counters_[static_cast<std::size_t>(device_id)];
-    ++dev.h2d_transfers;
-    dev.h2d_bytes += bytes;
-  }
-  RecordSimSpan([&] { return "h2d " + FormatBytes(bytes); },
-                trace::category::kTransfer, device_id, end, duration);
-  SimMetrics& m = SimMetrics::Get();
-  m.h2d_transfers.Add();
-  m.h2d_bytes.Add(bytes);
-  m.transfer_bytes.Observe(static_cast<double>(bytes));
-  return end;
+  return BillHostLink(FaultSite::kH2D, device_id, bytes, ready_at);
 }
 
 double Platform::BillDeviceToHost(int device_id, std::size_t bytes,
                                   double ready_at) {
+  return BillHostLink(FaultSite::kD2H, device_id, bytes, ready_at);
+}
+
+double Platform::BillHostLink(FaultSite site, int device_id,
+                              std::size_t bytes, double ready_at) {
   if (bytes == 0) return clock_.Now();
+  const bool h2d = site == FaultSite::kH2D;
   double fault_mult = 1.0;
-  if (faults_.armed()) {
-    fault_mult = faults_.OnOperation(FaultSite::kD2H, device_id);
-  }
+  if (faults_.armed()) fault_mult = faults_.OnOperation(site, device_id);
   auto resources = RootResources(device_id);
   resources.push_back(device(device_id).dma_resource());
   const double duration =
@@ -185,17 +228,18 @@ double Platform::BillDeviceToHost(int device_id, std::size_t bytes,
   {
     std::lock_guard<std::mutex> lock(accounting_mutex_);
     end = clock_.ScheduleAfter(resources, duration, ready_at);
-    ++counters_.d2h_transfers;
-    counters_.d2h_bytes += bytes;
-    auto& dev = device_counters_[static_cast<std::size_t>(device_id)];
-    ++dev.d2h_transfers;
-    dev.d2h_bytes += bytes;
+    for (PlatformCounters* c :
+         {&counters_, &device_counters_[static_cast<std::size_t>(device_id)]}) {
+      ++(h2d ? c->h2d_transfers : c->d2h_transfers);
+      (h2d ? c->h2d_bytes : c->d2h_bytes) += bytes;
+    }
   }
-  RecordSimSpan([&] { return "d2h " + FormatBytes(bytes); },
-                trace::category::kTransfer, device_id, end, duration);
+  RecordSimSpan(
+      [&] { return std::string(h2d ? "h2d " : "d2h ") + FormatBytes(bytes); },
+      trace::category::kTransfer, device_id, end, duration);
   SimMetrics& m = SimMetrics::Get();
-  m.d2h_transfers.Add();
-  m.d2h_bytes.Add(bytes);
+  (h2d ? m.h2d_transfers : m.d2h_transfers).Add();
+  (h2d ? m.h2d_bytes : m.d2h_bytes).Add(bytes);
   m.transfer_bytes.Observe(static_cast<double>(bytes));
   return end;
 }
@@ -303,57 +347,80 @@ double Platform::CopyDeviceToDevice(DeviceBuffer& dst, std::size_t dst_offset,
   return end;
 }
 
-KernelStats Platform::LaunchKernel(int device_id, const KernelLaunch& launch,
-                                   double* end_s) {
-  ACCMG_REQUIRE(launch.body != nullptr, "kernel launch without a body");
-  ACCMG_REQUIRE(launch.num_threads >= 0, "negative thread count");
-  ACCMG_REQUIRE(launch.block_size > 0, "non-positive block size");
-  double fault_mult = 1.0;
-  if (faults_.armed()) {
-    // Consulted before the body runs: a failed launch has no data effect.
-    fault_mult = faults_.OnOperation(FaultSite::kKernel, device_id);
+void Platform::LaunchKernels(std::vector<DeviceLaunch>& batch) {
+  // True when an earlier launch of launch i's device failed.
+  auto halted = [&](std::size_t i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (batch[j].error && batch[j].device_id == batch[i].device_id) {
+        return true;
+      }
+    }
+    return false;
+  };
+  // Fault decisions come first, in issue order: a failed launch has no data
+  // effect, and its device's later launches do not run.
+  std::vector<double> fault_mult(batch.size(), 1.0);
+  std::vector<DeviceLaunch*> runnable;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (halted(i)) continue;
+    try {
+      if (faults_.armed()) {
+        fault_mult[i] = faults_.OnOperation(FaultSite::kKernel,
+                                            batch[i].device_id);
+      }
+      runnable.push_back(&batch[i]);
+    } catch (...) {
+      batch[i].error = std::current_exception();
+    }
   }
-  Device& dev = device(device_id);
 
-  KernelStats total;
-  std::mutex stats_mutex;
-  if (launch.num_threads > 0) {
-    workers_.ParallelForChunks(
-        0, launch.num_threads,
-        [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          KernelStats local;
-          launch.body->Execute(lo, hi, local);
-          std::lock_guard<std::mutex> lock(stats_mutex);
-          total += local;
-        });
-  }
-
-  const double compute_s =
-      static_cast<double>(total.instructions) / dev.spec().instr_per_sec;
-  const double memory_s =
-      static_cast<double>(total.bytes_read + total.bytes_written) /
-      dev.spec().mem_bandwidth_bps;
-  const double duration =
-      fault_mult *
-      (dev.spec().launch_overhead_s + std::max(compute_s, memory_s));
-  double end;
-  {
-    std::lock_guard<std::mutex> lock(accounting_mutex_);
-    end = clock_.ScheduleAfter(dev.compute_resource(), duration,
-                               launch.ready_at);
-    ++counters_.kernel_launches;
-    ++device_counters_[static_cast<std::size_t>(device_id)].kernel_launches;
-  }
-  if (end_s != nullptr) *end_s = end;
-  RecordSimSpan(
-      [&] {
-        return launch.name.empty() ? std::string("kernel") : launch.name;
-      },
-      trace::category::kKernel, device_id, end, duration);
+  RunChunks(workers_, runnable);
   SimMetrics& m = SimMetrics::Get();
-  m.kernel_launches.Add();
-  m.kernel_seconds.Observe(duration);
-  return total;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].error || halted(i)) continue;
+    DeviceLaunch& dl = batch[i];
+    const Device& dev = device(dl.device_id);
+    const double compute_s = static_cast<double>(dl.stats.instructions) /
+                             dev.spec().instr_per_sec;
+    const double memory_s =
+        static_cast<double>(dl.stats.bytes_read + dl.stats.bytes_written) /
+        dev.spec().mem_bandwidth_bps;
+    const double duration =
+        fault_mult[i] *
+        (dev.spec().launch_overhead_s + std::max(compute_s, memory_s));
+    {
+      std::lock_guard<std::mutex> lock(accounting_mutex_);
+      dl.end_s = clock_.ScheduleAfter(dev.compute_resource(), duration,
+                                      dl.launch.ready_at);
+      ++counters_.kernel_launches;
+      ++device_counters_[static_cast<std::size_t>(dl.device_id)]
+            .kernel_launches;
+    }
+    RecordSimSpan(
+        [&] {
+          return dl.launch.name.empty() ? std::string("kernel")
+                                        : dl.launch.name;
+        },
+        trace::category::kKernel, dl.device_id, dl.end_s, duration);
+    m.kernel_launches.Add();
+    m.kernel_seconds.Observe(duration);
+  }
+  for (const DeviceLaunch& dl : batch) {
+    if (dl.error) std::rethrow_exception(dl.error);
+  }
+}
+
+KernelStats Platform::LaunchKernel(int device_id, const KernelLaunch& launch) {
+  std::vector<DeviceLaunch> batch{DeviceLaunch{device_id, launch}};
+  LaunchKernels(batch);
+  return batch[0].stats;
+}
+
+KernelStats Platform::RunOnHost(const KernelLaunch& launch) {
+  DeviceLaunch host{.launch = launch};
+  RunChunks(workers_, {&host});
+  if (host.error) std::rethrow_exception(host.error);
+  return host.stats;
 }
 
 std::size_t Platform::TotalPeakDeviceBytes() const {

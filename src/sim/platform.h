@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -41,6 +42,16 @@ struct PlatformCounters {
   bool operator==(const PlatformCounters&) const = default;
 };
 
+/// One launch of a LaunchKernels batch: the request and, after the call,
+/// what came of it.
+struct DeviceLaunch {
+  int device_id = 0;
+  KernelLaunch launch;
+  KernelStats stats;         ///< out: summed cost of the launch's chunks
+  double end_s = 0;          ///< out: simulated end time (0 if not scheduled)
+  std::exception_ptr error;  ///< out: its fault or first body error, if any
+};
+
 class Platform {
  public:
   Platform(std::vector<DeviceSpec> gpus, TopologyConfig topology, CpuSpec host,
@@ -61,7 +72,7 @@ class Platform {
   const PlatformCounters& counters() const { return counters_; }
 
   /// --- Fault injection (sim/fault.h) ---
-  /// While armed, every Bill*/Copy*/LaunchKernel consults the injector
+  /// While armed, every Bill*/Copy*/kernel launch consults the injector
   /// before executing: the operation may throw a typed FaultError (with no
   /// data effect — copies bill before they move bytes) or run with a
   /// stall-inflated simulated duration.
@@ -103,13 +114,12 @@ class Platform {
   /// by the runtime (e.g. dirty-element merges) but the wire cost is that of
   /// a bulk transfer. Returns the transfer's simulated end time.
   ///
-  /// Thread safety: Bill* and LaunchKernel may be issued from concurrent
-  /// per-device threads (the executor launches kernels that way); clock
-  /// scheduling and the counters are serialized on an internal mutex.
-  /// Operations on disjoint resources commute under SimClock::Schedule, so
-  /// concurrent per-device scheduling stays deterministic. Everything else
-  /// (Barrier, ResetAccounting, counters()) assumes external
-  /// synchronization, i.e. no in-flight billing.
+  /// Thread safety: clock scheduling and the counters are serialized on
+  /// an internal mutex, so service jobs leased disjoint device subsets may
+  /// bill and launch concurrently; operations on disjoint resources commute
+  /// under SimClock::Schedule. Everything else (Barrier, ResetAccounting,
+  /// counters()) assumes external synchronization, i.e. no in-flight
+  /// billing.
   double BillHostToDevice(int device_id, std::size_t bytes,
                           double ready_at = 0);
   double BillDeviceToHost(int device_id, std::size_t bytes,
@@ -120,14 +130,27 @@ class Platform {
 
   /// --- Kernel execution ---
 
-  /// Runs `launch` on `device_id`. Threads execute on the worker pool; the
-  /// simulated duration is launch overhead + roofline(instructions, bytes)
-  /// and is scheduled on the device's compute resource (no earlier than
-  /// `launch.ready_at`), so kernels launched on different devices between
-  /// two barriers overlap. When `end_s` is non-null it receives the
-  /// kernel's simulated end time.
-  KernelStats LaunchKernel(int device_id, const KernelLaunch& launch,
-                           double* end_s = nullptr);
+  /// Runs every launch of `batch` (in issue order, e.g. all sub-launches of
+  /// one offload on all devices). The fault injector is consulted per
+  /// launch in issue order before anything runs; a device whose launch
+  /// faults skips its later launches, the others still run. The chunks of
+  /// all runnable launches then execute as one pool batch (sim/kernel.h),
+  /// each launch's chunk outputs fold into its body in chunk order, and
+  /// each launch that completed is scheduled on its device's compute
+  /// resource in issue order: launch overhead + roofline(instructions,
+  /// bytes), no earlier than `launch.ready_at`, so kernels on different
+  /// devices overlap. A launch whose body throws is not scheduled, and
+  /// neither are its device's later launches. After scheduling, the first
+  /// error in issue order is rethrown.
+  void LaunchKernels(std::vector<DeviceLaunch>& batch);
+
+  /// The one-launch case of LaunchKernels.
+  KernelStats LaunchKernel(int device_id, const KernelLaunch& launch);
+
+  /// Runs `launch` through the same chunk grid and in-order fold as
+  /// LaunchKernels, with no device, fault injection, clock or counters:
+  /// the CPU baseline's engine. Rethrows the first error in chunk order.
+  KernelStats RunOnHost(const KernelLaunch& launch);
 
   /// BSP phase boundary; see SimClock::Barrier.
   double Barrier(TimeCategory category) { return clock_.Barrier(category); }
@@ -140,6 +163,9 @@ class Platform {
 
  private:
   std::vector<SimClock::Resource> RootResources(int device_id) const;
+  /// Bills a transfer over the host link (kH2D or kD2H) of `device_id`.
+  double BillHostLink(FaultSite site, int device_id, std::size_t bytes,
+                      double ready_at);
 
   SimClock clock_;
   TopologyConfig topology_;
@@ -150,7 +176,7 @@ class Platform {
   FaultInjector faults_;
   PlatformCounters counters_;
   std::vector<PlatformCounters> device_counters_;  // parallel to devices_
-  /// Serializes clock scheduling + counter updates for Bill*/LaunchKernel.
+  /// Serializes clock scheduling + counter updates for Bill*/LaunchKernels.
   mutable std::mutex accounting_mutex_;
 };
 

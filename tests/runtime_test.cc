@@ -1,12 +1,17 @@
 // Unit tests for the multi-GPU runtime: data loader policies and the
 // reload-skip cache, comm manager (dirty propagation, miss replay, halo
-// refresh), managed-array accounting, and host-interpreter semantics.
+// refresh), managed-array accounting, host-interpreter semantics, and the
+// host-independence gate (results do not depend on worker thread counts).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <optional>
 
+#include "apps/bfs/bfs.h"
+#include "apps/kmeans/kmeans.h"
 #include "runtime/comm_manager.h"
 #include "runtime/data_loader.h"
 #include "runtime/managed_array.h"
@@ -938,6 +943,162 @@ TEST(TwoDRowBlockTest, ShrinkRepartitionsRemainderAfterDeviceDeath) {
   EXPECT_GT(platform->faults().deaths(), 0) << "the plan never killed a "
                                                "device — regression vacuous";
   EXPECT_EQ(got, Grid2dReference(Grid2dSeed(7, 5), 7, 5, 4));
+}
+
+// --- Host independence: a result depends on the program, the inputs, the
+// device count and the options, never on the host's worker thread count or
+// on thread scheduling. Each case runs at 1, 2, 4 and 8 worker threads (8
+// twice) and must reproduce the first run's output bytes, billed transfers
+// and simulated time (which is a function of every launch's KernelStats). ---
+
+/// What one run produced.
+struct HostRun {
+  std::vector<std::byte> output;
+  RunReport report;
+};
+
+template <typename T>
+void AppendBytes(std::vector<std::byte>& out, const std::vector<T>& values) {
+  const auto* bytes = reinterpret_cast<const std::byte*>(values.data());
+  out.insert(out.end(), bytes, bytes + values.size() * sizeof(T));
+}
+
+/// Runs `run` on supercomputer nodes of `gpus` GPUs at every worker count
+/// and compares each run with the first. `sim_exact` is false for a kernel
+/// with racing reads (bfs), whose instruction count follows the race.
+void ExpectHostIndependent(
+    const std::function<HostRun(sim::Platform&, int gpus)>& run,
+    std::initializer_list<int> gpu_counts, bool sim_exact = true) {
+  for (const int gpus : gpu_counts) {
+    std::optional<HostRun> first;
+    for (const std::size_t workers : {1, 2, 4, 8, 8}) {
+      SCOPED_TRACE("gpus=" + std::to_string(gpus) +
+                   " workers=" + std::to_string(workers));
+      sim::Platform platform(
+          std::vector<sim::DeviceSpec>(static_cast<std::size_t>(gpus),
+                                       sim::TeslaM2050()),
+          sim::SupercomputerTopology(gpus), sim::DualXeonNode(), workers);
+      HostRun got = run(platform, gpus);
+      if (!first) {
+        first = std::move(got);
+        continue;
+      }
+      EXPECT_TRUE(got.output == first->output) << "output bytes differ";
+      EXPECT_EQ(got.report.counters, first->report.counters);
+      if (sim_exact) {
+        EXPECT_EQ(got.report.time.seconds, first->report.time.seconds);
+        EXPECT_EQ(got.report.total_seconds, first->report.total_seconds);
+      }
+    }
+  }
+}
+
+TEST(HostIndependenceTest, KmeansFloatArrayReductions) {
+  const apps::KmeansInput input = apps::MakeKmeansInput(1024, 34, 5, 3, 7);
+  ExpectHostIndependent(
+      [&](sim::Platform& platform, int gpus) {
+        apps::KmeansResult result;
+        HostRun run;
+        run.report = apps::RunKmeansAcc(input, platform, gpus, &result);
+        AppendBytes(run.output, result.centroids);
+        AppendBytes(run.output, result.membership);
+        return run;
+      },
+      {1, 2, 3});
+}
+
+TEST(HostIndependenceTest, FloatScalarSum) {
+  constexpr char kSource[] = R"(
+void fsum(int n, float* a, float* out) {
+  float s = 0.0f;
+  #pragma acc data copyin(a[0:n]) copyout(out[0:1])
+  {
+    #pragma acc parallel loop reduction(+:s)
+    for (int i = 0; i < n; i++) { s = s + a[i]; }
+  }
+  out[0] = s;
+}
+)";
+  const AccProgram program = AccProgram::FromSource("fsum", kSource);
+  constexpr int kN = 10000;
+  // Magnitudes far apart, so every change of summation order rounds
+  // differently.
+  std::vector<float> a(kN);
+  for (int i = 0; i < kN; ++i) {
+    a[static_cast<std::size_t>(i)] =
+        static_cast<float>(i * 7919 % 1000) * 0.37f + (i % 13 == 0 ? 1e4f : 0);
+  }
+  ExpectHostIndependent(
+      [&](sim::Platform& platform, int gpus) {
+        std::vector<float> out(1, 0);
+        ProgramRunner runner(program,
+                             RunConfig{.platform = &platform, .num_gpus = gpus});
+        runner.BindArray("a", a.data(), ir::ValType::kF32, kN);
+        runner.BindArray("out", out.data(), ir::ValType::kF32, 1);
+        runner.BindScalar("n", static_cast<std::int64_t>(kN));
+        HostRun run;
+        run.report = runner.Run("fsum");
+        AppendBytes(run.output, out);
+        return run;
+      },
+      {1, 2, 3});
+}
+
+TEST(HostIndependenceTest, Bfs) {
+  const apps::BfsInput input = apps::MakeBfsInput(4000, 16, 11);
+  ExpectHostIndependent(
+      [&](sim::Platform& platform, int gpus) {
+        std::vector<std::int32_t> cost;
+        HostRun run;
+        run.report = apps::RunBfsAcc(input, platform, gpus, &cost);
+        AppendBytes(run.output, cost);
+        return run;
+      },
+      {1, 2, 3}, /*sim_exact=*/false);
+}
+
+// Every duplicate destination lies in the last eighth of dst and is written
+// only by iterations of the first half, which no device that owns that
+// eighth runs on 2 or 3 GPUs: all its writes arrive as write misses, and the
+// replay order alone picks the survivor. (On 1 GPU every write is a direct
+// store, and duplicates from different chunks would race.)
+TEST(HostIndependenceTest, DuplicateDestinationScatterReplaysInOrder) {
+  constexpr char kSource[] = R"(
+void scatter(int n, int* perm, float* src, float* dst) {
+  #pragma acc data copyin(perm[0:n], src[0:n]) copy(dst[0:n])
+  {
+    #pragma acc localaccess(perm: stride(1)) (src: stride(1)) (dst: stride(1))
+    #pragma acc parallel loop
+    for (int i = 0; i < n; i++) { dst[perm[i]] = src[i]; }
+  }
+}
+)";
+  const AccProgram program = AccProgram::FromSource("scatter", kSource);
+  constexpr int kN = 4096;
+  std::vector<std::int32_t> perm(kN);
+  std::vector<float> src(kN);
+  for (int i = 0; i < kN; ++i) {
+    perm[static_cast<std::size_t>(i)] =
+        i < kN / 2 ? kN - 1 - i % (kN / 8) : i - kN / 2;
+    src[static_cast<std::size_t>(i)] = static_cast<float>(i);
+  }
+  ExpectHostIndependent(
+      [&](sim::Platform& platform, int gpus) {
+        std::vector<float> dst(kN, -1);
+        ProgramRunner runner(program,
+                             RunConfig{.platform = &platform, .num_gpus = gpus});
+        runner.BindArray("perm", perm.data(), ir::ValType::kI32, kN);
+        runner.BindArray("src", src.data(), ir::ValType::kF32, kN);
+        runner.BindArray("dst", dst.data(), ir::ValType::kF32, kN);
+        runner.BindScalar("n", static_cast<std::int64_t>(kN));
+        HostRun run;
+        run.report = runner.Run("scatter");
+        EXPECT_EQ(run.report.comm.miss_records_replayed,
+                  static_cast<std::uint64_t>(kN));
+        AppendBytes(run.output, dst);
+        return run;
+      },
+      {2, 3});
 }
 
 }  // namespace

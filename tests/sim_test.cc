@@ -2,6 +2,12 @@
 // copies, kernel timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <map>
+#include <mutex>
+
+#include "common/error.h"
 #include "sim/clock.h"
 #include "sim/platform.h"
 #include "sim/topology.h"
@@ -279,6 +285,72 @@ TEST(PlatformTest, KernelExecutesAllThreads) {
                       .name = "k"};
   platform->LaunchKernel(0, launch);
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
+// The chunk grid is a function of the thread count alone: the same launch
+// on a 1-worker and an 8-worker pool gets the same chunk boundaries (each
+// chunk has its own KernelStats, so the stats address identifies it) and
+// the same summed stats.
+TEST(PlatformTest, ChunkBoundariesIgnorePoolSize) {
+  const std::vector<std::int64_t> want_starts = {
+      0,   62,  125, 187, 250, 312, 375, 437,
+      500, 562, 625, 687, 750, 812, 875, 937};
+  for (const std::size_t workers : {1, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    Platform platform({TeslaC2075()}, DesktopTopology(1), CoreI7Desktop(),
+                      workers);
+    std::mutex mutex;
+    std::map<const KernelStats*, std::pair<std::int64_t, std::int64_t>>
+        chunks;  // first and one-past-last thread per chunk
+    LambdaKernel body([&](std::int64_t tid, KernelStats& stats) {
+      stats.instructions += static_cast<std::uint64_t>(tid);
+      std::lock_guard<std::mutex> lock(mutex);
+      auto [it, fresh] = chunks.try_emplace(&stats, tid, tid + 1);
+      it->second.second = tid + 1;
+    });
+    const KernelLaunch launch{.body = &body, .num_threads = 1000,
+                              .name = "k"};
+    const KernelStats stats = platform.LaunchKernel(0, launch);
+    EXPECT_EQ(stats.instructions, 999u * 1000u / 2);
+
+    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+    for (const auto& [key, range] : chunks) ranges.push_back(range);
+    std::sort(ranges.begin(), ranges.end());
+    ASSERT_EQ(ranges.size(), want_starts.size());
+    for (std::size_t c = 0; c < ranges.size(); ++c) {
+      EXPECT_EQ(ranges[c].first, want_starts[c]);
+      EXPECT_EQ(ranges[c].second,
+                c + 1 < want_starts.size() ? want_starts[c + 1] : 1000);
+    }
+  }
+}
+
+// A launch whose body throws is not scheduled, and neither is its device's
+// next launch in the batch; the other device's launch still runs and is
+// scheduled, and the error surfaces after the batch.
+TEST(PlatformTest, BatchErrorHaltsOnlyTheFailingDevice) {
+  auto platform = MakeDesktopMachine(2);
+  LambdaKernel fails([](std::int64_t, KernelStats&) {
+    throw DeviceError("boom");
+  });
+  std::atomic<int> runs{0};
+  LambdaKernel works([&](std::int64_t, KernelStats& stats) {
+    runs.fetch_add(1);
+    stats.instructions += 1000;
+  });
+  std::vector<DeviceLaunch> batch(3);
+  batch[0].device_id = 0;
+  batch[0].launch = {.body = &fails, .num_threads = 4, .name = "fails"};
+  batch[1].device_id = 0;
+  batch[1].launch = {.body = &works, .num_threads = 4, .name = "after"};
+  batch[2].device_id = 1;
+  batch[2].launch = {.body = &works, .num_threads = 4, .name = "other"};
+  EXPECT_THROW(platform->LaunchKernels(batch), DeviceError);
+  EXPECT_EQ(batch[0].end_s, 0);
+  EXPECT_EQ(batch[1].end_s, 0);
+  EXPECT_GT(batch[2].end_s, 0);
+  EXPECT_EQ(platform->counters().kernel_launches, 1u);
+  EXPECT_EQ(platform->device_counters(1).kernel_launches, 1u);
 }
 
 TEST(PlatformTest, PresetsMatchTableOne) {
