@@ -7,12 +7,14 @@
 
 #include <numeric>
 
+#include "apps/md/md.h"
 #include "frontend/parser.h"
 #include "frontend/sema.h"
 #include "ir/builder.h"
 #include "ir/exec.h"
 #include "runtime/comm_manager.h"
 #include "runtime/data_loader.h"
+#include "runtime/program.h"
 #include "sim/platform.h"
 #include "translator/offload.h"
 
@@ -42,7 +44,8 @@ void BM_InterpreterSaxpy(benchmark::State& state) {
   std::vector<float> x(static_cast<std::size_t>(n), 1.0f);
   std::vector<float> y(static_cast<std::size_t>(n), 2.0f);
 
-  ir::KernelExec exec(kernel);
+  static const ir::DecodedKernel decoded(kernel);
+  ir::KernelExec exec(decoded);
   for (auto& binding : exec.bindings) {
     binding.lo = 0;
     binding.hi = n;
@@ -62,6 +65,53 @@ void BM_InterpreterSaxpy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_InterpreterSaxpy)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+// The md kernel, translated from its OpenACC source: per thread a loop over
+// 128 neighbours with index loads, float math rounded to f32 after every op
+// and a data-dependent cutoff `if`. Unlike saxpy it exercises block
+// boundaries, back-edges and fused arithmetic+round pairs. Items are
+// neighbour interactions.
+void BM_InterpreterMdInner(benchmark::State& state) {
+  const int atoms = static_cast<int>(state.range(0));
+  constexpr int kMaxNeigh = 128;
+  static const runtime::AccProgram program =
+      runtime::AccProgram::FromSource("md", apps::MdSource());
+  const translator::LoopOffload& offload =
+      program.compiled().functions[0].offloads[0];
+  const ir::KernelIR& kernel = offload.kernel;
+  apps::MdInput input = apps::MakeMdInput(atoms, kMaxNeigh);
+  std::vector<float> force(3 * static_cast<std::size_t>(atoms), 0.0f);
+
+  ir::KernelExec exec(offload.decoded);
+  auto bind = [&](const char* name, void* data, std::int64_t count) {
+    ir::ArrayBinding& binding =
+        exec.bindings[static_cast<std::size_t>(kernel.FindArray(name))];
+    binding.data = static_cast<std::byte*>(data);
+    binding.hi = binding.write_hi = binding.logical_size = count;
+  };
+  bind("pos", input.pos.data(), static_cast<std::int64_t>(input.pos.size()));
+  bind("neigh", input.neigh.data(),
+       static_cast<std::int64_t>(input.neigh.size()));
+  bind("force", force.data(), static_cast<std::int64_t>(force.size()));
+  auto scalar = [&](const char* name, double fval, std::int64_t ival) {
+    const auto s = static_cast<std::size_t>(kernel.FindScalar(name));
+    exec.scalar_values[s] = ir::EncodeScalar(kernel.scalars[s].type, fval, ival);
+  };
+  scalar("maxneigh", 0, kMaxNeigh);
+  scalar("cutsq", input.cutsq, 0);
+  scalar("lj1", input.lj1, 0);
+  scalar("lj2", input.lj2, 0);
+
+  for (auto _ : state) {
+    sim::KernelStats stats;
+    exec.Execute(0, atoms, stats);
+    benchmark::DoNotOptimize(stats.instructions);
+    benchmark::DoNotOptimize(force.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * atoms * kMaxNeigh);
+}
+BENCHMARK(BM_InterpreterMdInner)->Arg(1 << 10)->Arg(1 << 13);
 
 // --- frontend throughput -----------------------------------------------------
 

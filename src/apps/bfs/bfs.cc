@@ -219,7 +219,11 @@ runtime::RunReport RunBfsCuda(const BfsInput& input, sim::Platform& platform,
       const auto ii = static_cast<std::size_t>(i);
       stats.instructions += 3;
       stats.bytes_read += 4;
-      if (cost_view[ii] != level) return;
+      // Other threads may be writing cost_view[ii] (the race below).
+      if (std::atomic_ref<std::int32_t>(cost_view[ii])
+              .load(std::memory_order_relaxed) != level) {
+        return;
+      }
       const auto first = static_cast<std::size_t>(offsets_view[ii]);
       const auto last = static_cast<std::size_t>(offsets_view[ii + 1]);
       for (std::size_t e = first; e < last; ++e) {

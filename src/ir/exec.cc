@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/error.h"
 
@@ -129,8 +130,9 @@ inline std::uint64_t ElementRawToReg(std::uint64_t raw, ValType elem) {
   return 0;
 }
 
-/// Dynamic cost weights; transcendental ops are an order of magnitude more
-/// expensive than simple ALU ops on Fermi-class GPUs.
+/// Cost weights, summed per basic block at decode time; transcendental ops
+/// are an order of magnitude more expensive than simple ALU ops on
+/// Fermi-class GPUs.
 inline std::uint64_t InstrWeight(Opcode op) {
   switch (op) {
     case Opcode::kSqrtF:
@@ -333,23 +335,221 @@ void FoldPartialInto(RedOp op, ValType type, std::byte* base,
   }
 }
 
-KernelExec::KernelExec(const KernelIR& kernel) : kernel_(kernel) {
-  Verify(kernel);
-  bindings.resize(kernel.arrays.size());
-  scalar_values.resize(kernel.scalars.size(), 0);
-  array_red_lower.resize(kernel.array_reductions.size(), 0);
-  array_red_length.resize(kernel.array_reductions.size(), 0);
+namespace {
+
+bool IsTerminator(Opcode op) { return IsBranch(op) || op == Opcode::kRet; }
+
+/// Decoded kind of a register-to-register op.
+DecodedOpKind ArithKind(Opcode op) {
+  switch (op) {
+#define ACCMG_ARITH_CASE(name) \
+  case Opcode::name:           \
+    return DecodedOpKind::name;
+    ACCMG_ARITH_OPS(ACCMG_ARITH_CASE)
+#undef ACCMG_ARITH_CASE
+    default:
+      throw InternalError(std::string("no arithmetic decoding for ") +
+                          OpcodeName(op));
+  }
+}
+
+/// The fused kind of `first` followed by `second`, when `second` is the
+/// round.f32 of a float add/sub/mul/div or the trunc.i32 of an integer
+/// add/sub/mul that `first` computes.
+std::optional<DecodedOpKind> FusedKind(const Instr& first,
+                                       const Instr& second) {
+  if (second.a != first.dst) return std::nullopt;
+  if (second.op == Opcode::kRoundF32) {
+    switch (first.op) {
+      case Opcode::kAddF: return DecodedOpKind::kAddFRound;
+      case Opcode::kSubF: return DecodedOpKind::kSubFRound;
+      case Opcode::kMulF: return DecodedOpKind::kMulFRound;
+      case Opcode::kDivF: return DecodedOpKind::kDivFRound;
+      default: return std::nullopt;
+    }
+  }
+  if (second.op == Opcode::kTruncI32) {
+    switch (first.op) {
+      case Opcode::kAddI: return DecodedOpKind::kAddITrunc;
+      case Opcode::kSubI: return DecodedOpKind::kSubITrunc;
+      case Opcode::kMulI: return DecodedOpKind::kMulITrunc;
+      default: return std::nullopt;
+    }
+  }
+  return std::nullopt;
+}
+
+DecodedOpKind LoadKind(ValType elem) {
+  switch (elem) {
+    case ValType::kI32: return DecodedOpKind::kLoadI32;
+    case ValType::kF32: return DecodedOpKind::kLoadF32;
+    case ValType::kI64:
+    case ValType::kF64: return DecodedOpKind::kLoad64;
+  }
+  return DecodedOpKind::kLoad64;
+}
+
+DecodedOpKind StoreKind(ValType elem) {
+  switch (elem) {
+    case ValType::kI32: return DecodedOpKind::kStoreI32;
+    case ValType::kF32: return DecodedOpKind::kStoreF32;
+    case ValType::kI64:
+    case ValType::kF64: return DecodedOpKind::kStore64;
+  }
+  return DecodedOpKind::kStore64;
+}
+
+}  // namespace
+
+DecodedKernel::DecodedKernel(const KernelIR& kernel)
+    : name_(kernel.name),
+      arrays_(kernel.arrays),
+      num_scalars_(kernel.scalars.size()),
+      scalar_reductions_(kernel.scalar_reductions),
+      array_reductions_(kernel.array_reductions),
+      num_regs_(kernel.num_regs),
+      thread_id_reg_(kernel.thread_id_reg) {
+  VerifySignature(kernel);
+  const std::vector<Instr>& code = kernel.code;
+  const std::size_t n = code.size();
+
+  // Pass 1: verify every instruction, mark block leaders (the entry, branch
+  // targets, and whatever follows a branch or ret) and written registers.
+  std::vector<char> leader(n, 0);
+  std::vector<char> written(static_cast<std::size_t>(num_regs_), 0);
+  leader[0] = 1;
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    VerifyInstr(kernel, pc);
+    const Instr& in = code[pc];
+    if (IsBranch(in.op)) leader[static_cast<std::size_t>(in.imm.i)] = 1;
+    if (IsTerminator(in.op) && pc + 1 < n) leader[pc + 1] = 1;
+    if (ProducesValue(in.op)) written[static_cast<std::size_t>(in.dst)] = 1;
+  }
+  for (std::size_t s = 0; s < num_scalars_; ++s) {
+    if (written[static_cast<std::size_t>(thread_id_reg_) + 1 + s]) {
+      reloaded_scalars_.push_back(s);
+    }
+  }
+  std::vector<std::int32_t> block_of(n, -1);
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    if (!leader[pc]) continue;
+    block_of[pc] = static_cast<std::int32_t>(blocks_.size());
+    blocks_.emplace_back();
+  }
+
+  // Pass 2: emit each block's ops and sum its static cost. The code ends in
+  // ret or br (VerifySignature), so a non-terminator always has a successor.
+  // At most one op per instruction plus one kFall per block.
+  ops_.reserve(n + blocks_.size());
+  DecodedBlock* block = nullptr;
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    if (leader[pc]) {
+      block = &blocks_[static_cast<std::size_t>(block_of[pc])];
+      block->first_op = static_cast<std::uint32_t>(ops_.size());
+    }
+    const Instr& in = code[pc];
+    block->count += 1;
+    block->weight += InstrWeight(in.op);
+    DecodedOp op;
+    op.dst = in.dst;
+    op.a = in.a;
+    op.b = in.b;
+    switch (in.op) {
+      case Opcode::kConstI:
+        op.kind = DecodedOpKind::kConst;
+        op.imm = FromI(in.imm.i);
+        break;
+      case Opcode::kConstF:
+        op.kind = DecodedOpKind::kConst;
+        op.imm = FromF(in.imm.f);
+        break;
+      case Opcode::kLoad: {
+        const ValType elem = arrays_[static_cast<std::size_t>(in.arr)].elem;
+        op.kind = LoadKind(elem);
+        op.c = in.arr;
+        block->bytes_read += ValTypeSize(elem);
+        break;
+      }
+      case Opcode::kStore: {
+        const ValType elem = arrays_[static_cast<std::size_t>(in.arr)].elem;
+        op.kind = StoreKind(elem);
+        op.c = in.arr;
+        block->bytes_written += ValTypeSize(elem);
+        break;
+      }
+      case Opcode::kDirtyMark:
+        op.kind = DecodedOpKind::kDirtyMark;
+        op.c = in.arr;
+        break;
+      case Opcode::kRedScalar:
+        op.kind = DecodedOpKind::kRedScalar;
+        op.c = static_cast<std::int32_t>(in.imm.i);
+        break;
+      case Opcode::kRedArray:
+        op.kind = DecodedOpKind::kRedArray;
+        op.c = static_cast<std::int32_t>(in.imm.i);
+        break;
+      case Opcode::kBr:
+        op.kind = DecodedOpKind::kBr;
+        op.c = block_of[static_cast<std::size_t>(in.imm.i)];
+        break;
+      case Opcode::kBrIf:
+      case Opcode::kBrIfNot:
+        op.kind = in.op == Opcode::kBrIf ? DecodedOpKind::kBrIf
+                                         : DecodedOpKind::kBrIfNot;
+        op.c = block_of[static_cast<std::size_t>(in.imm.i)];
+        op.b = block_of[pc + 1];
+        break;
+      case Opcode::kRet:
+        op.kind = DecodedOpKind::kRet;
+        break;
+      default: {
+        op.kind = ArithKind(in.op);
+        // Fuse with a round/trunc of the result inside the same block.
+        if (leader[pc + 1]) break;
+        const Instr& next = code[pc + 1];
+        if (const auto fused = FusedKind(in, next)) {
+          op.kind = *fused;
+          op.c = next.dst;
+          block->count += 1;
+          block->weight += InstrWeight(next.op);
+          ++pc;
+        }
+        break;
+      }
+    }
+    ops_.push_back(op);
+    if (!IsTerminator(in.op) && leader[pc + 1]) {
+      DecodedOp fall;
+      fall.kind = DecodedOpKind::kFall;
+      fall.c = block_of[pc + 1];
+      ops_.push_back(fall);
+    }
+  }
+  void* const* handlers = KernelExec::Engine(nullptr, nullptr, 0, 0);
+  for (DecodedOp& op : ops_) {
+    op.handler = handlers[static_cast<std::size_t>(op.kind)];
+  }
+}
+
+KernelExec::KernelExec(const DecodedKernel& kernel) : kernel_(kernel) {
+  ACCMG_CHECK(!kernel.empty(),
+              "kernel '" + kernel.name_ + "' launched without being decoded");
+  bindings.resize(kernel.arrays_.size());
+  scalar_values.resize(kernel.num_scalars_, 0);
+  array_red_lower.resize(kernel.array_reductions_.size(), 0);
+  array_red_length.resize(kernel.array_reductions_.size(), 0);
   ResetOutputs();
 }
 
 void KernelExec::ResetOutputs() {
   scalar_red_results_.clear();
-  for (const auto& red : kernel_.scalar_reductions) {
+  for (const auto& red : kernel_.scalar_reductions_) {
     scalar_red_results_.push_back(ReductionIdentity(red.op, red.type));
   }
   array_red_partials_.clear();
-  for (std::size_t i = 0; i < kernel_.array_reductions.size(); ++i) {
-    const auto& red = kernel_.array_reductions[i];
+  for (std::size_t i = 0; i < kernel_.array_reductions_.size(); ++i) {
+    const auto& red = kernel_.array_reductions_[i];
     array_red_partials_.emplace_back(
         static_cast<std::size_t>(array_red_length[i]),
         ReductionIdentity(red.op, red.type));
@@ -366,321 +566,413 @@ struct ExecChunk final : sim::ChunkOutput {
   std::vector<std::vector<WriteMissRecord>> misses;  ///< per array binding
 };
 
+// Fault paths, kept out of line so the dispatch loop stays small.
+
+[[noreturn]] [[gnu::noinline]] void ThrowBudgetExceeded(
+    const std::string& kernel) {
+  throw DeviceError("kernel '" + kernel +
+                    "': per-thread instruction budget exceeded "
+                    "(runaway loop?)");
+}
+
+[[noreturn]] [[gnu::noinline]] void ThrowDivideByZero(
+    const std::string& kernel, const char* what) {
+  throw DeviceError("kernel '" + kernel + "': integer " + what + " by zero");
+}
+
+[[noreturn]] [[gnu::noinline]] void ThrowNonResidentRead(
+    const std::string& kernel, const ArrayParam& param,
+    const ArrayBinding& binding, std::int64_t idx) {
+  throw DeviceError("kernel '" + kernel + "': read of non-resident element " +
+                    param.name + "[" + std::to_string(idx) + "], resident [" +
+                    std::to_string(binding.lo) + ", " +
+                    std::to_string(binding.hi) + ")");
+}
+
+/// A store outside the owned range: a write miss on a distributed array
+/// buffers the (address, data) record for the communication manager
+/// (Section IV-D2); anywhere else it is a fault.
+[[gnu::noinline]] void SpillWriteMiss(const std::string& kernel,
+                                      const ArrayParam& param,
+                                      const ArrayBinding& binding,
+                                      std::vector<WriteMissRecord>& misses,
+                                      std::int64_t idx, std::uint64_t raw) {
+  if (binding.miss == nullptr) {
+    throw DeviceError("kernel '" + kernel +
+                      "': write to non-resident element " + param.name + "[" +
+                      std::to_string(idx) + "] without a write-miss buffer");
+  }
+  misses.push_back(WriteMissRecord{idx, raw});
+}
+
+[[noreturn]] [[gnu::noinline]] void ThrowOutsideSection(
+    const std::string& kernel, std::int64_t idx, std::int64_t lower,
+    std::int64_t length) {
+  throw DeviceError("kernel '" + kernel + "': reductiontoarray index " +
+                    std::to_string(idx) + " outside the declared section [" +
+                    std::to_string(lower) + ", " +
+                    std::to_string(lower + length) + ")");
+}
+
 }  // namespace
 
 std::unique_ptr<sim::ChunkOutput> KernelExec::RunChunk(
     std::int64_t tid_begin, std::int64_t tid_end) const {
-  ACCMG_CHECK(bindings.size() == kernel_.arrays.size(),
+  ACCMG_CHECK(bindings.size() == kernel_.arrays_.size(),
               "kernel launch with unbound arrays");
-  ACCMG_CHECK(scalar_values.size() == kernel_.scalars.size(),
+  ACCMG_CHECK(scalar_values.size() == kernel_.num_scalars_,
               "kernel launch with missing scalar values");
 
-  std::vector<std::uint64_t> regs(static_cast<std::size_t>(kernel_.num_regs));
-
   auto chunk = std::make_unique<ExecChunk>();
-  for (const auto& red : kernel_.scalar_reductions) {
+  for (const auto& red : kernel_.scalar_reductions_) {
     chunk->scalar_red.push_back(ReductionIdentity(red.op, red.type));
   }
-  for (std::size_t i = 0; i < kernel_.array_reductions.size(); ++i) {
+  for (std::size_t i = 0; i < kernel_.array_reductions_.size(); ++i) {
     chunk->array_red.emplace_back(
         static_cast<std::size_t>(array_red_length[i]),
-        ReductionIdentity(kernel_.array_reductions[i].op,
-                          kernel_.array_reductions[i].type));
+        ReductionIdentity(kernel_.array_reductions_[i].op,
+                          kernel_.array_reductions_[i].type));
   }
   chunk->misses.resize(bindings.size());
+  Engine(this, chunk.get(), tid_begin, tid_end);
+  return chunk;
+}
+
+// The engine is direct-threaded code: every decoded op carries its
+// handler's address (GNU labels as values) and every handler ends by
+// jumping straight to the next op's, so there is no central switch. Cost is
+// charged when control enters a basic block: the block's static instruction
+// weight, load and store bytes, and its instruction count against the
+// per-thread budget. Stats are only read once a chunk succeeds, when every
+// entered block ran to its end, so they equal per-instruction charging
+// exactly. Only kDirtyMark bytes are dynamic: a mark is charged when its
+// element is resident.
+void* const* KernelExec::Engine(const KernelExec* exec,
+                                sim::ChunkOutput* out, std::int64_t tid_begin,
+                                std::int64_t tid_end) {
+  static void* const kHandlers[] = {
+#define ACCMG_DECODED_OP_LABEL(name) &&L_##name,
+      ACCMG_DECODED_OPS(ACCMG_DECODED_OP_LABEL)
+#undef ACCMG_DECODED_OP_LABEL
+  };
+  if (exec == nullptr) return kHandlers;
+
+  const DecodedKernel& kernel = exec->kernel_;
+  const std::vector<std::uint64_t>& scalar_values = exec->scalar_values;
+  const std::vector<std::int64_t>& array_red_lower = exec->array_red_lower;
+  const std::vector<std::int64_t>& array_red_length = exec->array_red_length;
+  auto* const chunk = static_cast<ExecChunk*>(out);
+
+  std::vector<std::uint64_t> regs(static_cast<std::size_t>(kernel.num_regs_));
+  std::uint64_t* const R = regs.data();
+  const ArrayBinding* const binds = exec->bindings.data();
+  const DecodedOp* const ops = kernel.ops_.data();
+  const DecodedBlock* const blocks = kernel.blocks_.data();
+  const std::string& name = kernel.name_;
+  const auto tid_reg = static_cast<std::size_t>(kernel.thread_id_reg_);
+
+  // Scalar s lives in register tid_reg + 1 + s (the builder's launch
+  // contract). Registers no instruction writes keep their value across the
+  // chunk's threads, so they are loaded once.
+  for (std::size_t s = 0; s < scalar_values.size(); ++s) {
+    R[tid_reg + 1 + s] = scalar_values[s];
+  }
 
   std::uint64_t instr = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
+  std::uint64_t budget = 0;
+  const DecodedOp* op = nullptr;
 
-  const Instr* code = kernel_.code.data();
+#define REG(x) R[static_cast<std::size_t>(x)]
+#define DISPATCH() goto* op->handler
+#define NEXT() \
+  ++op;        \
+  DISPATCH()
+#define ENTER(block_index)                                         \
+  {                                                                \
+    const DecodedBlock& entered =                                  \
+        blocks[static_cast<std::size_t>(block_index)];             \
+    instr += entered.weight;                                       \
+    bytes_read += entered.bytes_read;                              \
+    bytes_written += entered.bytes_written;                        \
+    budget += entered.count;                                       \
+    if (budget > kMaxInstrPerThread) [[unlikely]] {                \
+      ThrowBudgetExceeded(name);                                   \
+    }                                                              \
+    op = ops + entered.first_op;                                   \
+  }                                                                \
+  DISPATCH()
+#define UNARY(expr)               \
+  {                               \
+    const std::uint64_t x = REG(op->a); \
+    REG(op->dst) = (expr);        \
+  }                               \
+  NEXT()
+#define BIN_I(expr)                          \
+  {                                          \
+    const std::int64_t x = AsI(REG(op->a));  \
+    const std::int64_t y = AsI(REG(op->b));  \
+    REG(op->dst) = FromI(expr);              \
+  }                                          \
+  NEXT()
+#define BIN_F(expr)                          \
+  {                                          \
+    const double x = AsF(REG(op->a));        \
+    const double y = AsF(REG(op->b));        \
+    REG(op->dst) = (expr);                   \
+  }                                          \
+  NEXT()
+#define FUSED_ROUND(expr)                                            \
+  {                                                                  \
+    const double x = AsF(REG(op->a));                                \
+    const double y = AsF(REG(op->b));                                \
+    const double t = (expr);                                         \
+    REG(op->dst) = FromF(t);                                         \
+    REG(op->c) = FromF(static_cast<double>(static_cast<float>(t)));  \
+  }                                                                  \
+  NEXT()
+#define FUSED_TRUNC(expr)                                     \
+  {                                                           \
+    const std::uint64_t x = REG(op->a);                       \
+    const std::uint64_t y = REG(op->b);                       \
+    const std::uint64_t t = (expr);                           \
+    REG(op->dst) = t;                                         \
+    REG(op->c) = FromI(static_cast<std::int32_t>(AsI(t)));    \
+  }                                                           \
+  NEXT()
+#define LOAD(elem)                                                    \
+  {                                                                   \
+    const ArrayBinding& binding = binds[op->c];                       \
+    const std::int64_t idx = AsI(REG(op->a));                         \
+    if (idx < binding.lo || idx >= binding.hi) [[unlikely]] {         \
+      ThrowNonResidentRead(name, kernel.arrays_[op->c], binding, idx); \
+    }                                                                 \
+    REG(op->dst) = LoadElement(binding.data, idx - binding.lo, elem); \
+  }                                                                   \
+  NEXT()
+#define STORE(elem)                                                     \
+  {                                                                     \
+    const ArrayBinding& binding = binds[op->c];                         \
+    const std::int64_t idx = AsI(REG(op->a));                           \
+    const std::uint64_t raw = RegToElementRaw(REG(op->b), elem);        \
+    if (idx >= binding.write_lo && idx < binding.write_hi) [[likely]] { \
+      StoreElementRaw(binding.data, idx - binding.lo, elem, raw);       \
+    } else {                                                            \
+      SpillWriteMiss(name, kernel.arrays_[op->c], binding,             \
+                     chunk->misses[op->c], idx, raw);                   \
+    }                                                                   \
+  }                                                                     \
+  NEXT()
+
   for (std::int64_t tid = tid_begin; tid < tid_end; ++tid) {
-    // Pre-load scalar parameters and the iteration index.
-    for (std::size_t s = 0; s < scalar_values.size(); ++s) {
-      // Scalars occupy the first registers after the thread id register by
-      // convention established in the builder; the builder emits explicit
-      // register numbers, so we just honour the launch contract:
-      // scalar s lives in register (thread_id_reg + 1 + s).
-      regs[static_cast<std::size_t>(kernel_.thread_id_reg) + 1 + s] =
-          scalar_values[s];
+    for (const std::size_t s : kernel.reloaded_scalars_) {
+      R[tid_reg + 1 + s] = scalar_values[s];
     }
-    regs[static_cast<std::size_t>(kernel_.thread_id_reg)] =
-        FromI(iteration_offset + tid);
+    R[tid_reg] = FromI(exec->iteration_offset + tid);
+    budget = 0;
+    ENTER(0);
 
-    std::uint64_t budget = 0;
-    std::size_t pc = 0;
-    while (true) {
-      const Instr& in = code[pc];
-      instr += InstrWeight(in.op);
-      if (++budget > kMaxInstrPerThread) {
-        throw DeviceError("kernel '" + kernel_.name +
-                          "': per-thread instruction budget exceeded "
-                          "(runaway loop?)");
+  L_kConst:
+    REG(op->dst) = op->imm;
+    NEXT();
+  L_kMov:
+    UNARY(x);
+
+  L_kAddI:
+    BIN_I(WrapAdd(x, y));
+  L_kSubI:
+    BIN_I(AsI(FromI(x) - FromI(y)));
+  L_kMulI:
+    BIN_I(WrapMul(x, y));
+  L_kDivI:
+    if (AsI(REG(op->b)) == 0) [[unlikely]] ThrowDivideByZero(name, "division");
+    BIN_I(x / y);
+  L_kModI:
+    if (AsI(REG(op->b)) == 0) [[unlikely]] ThrowDivideByZero(name, "modulo");
+    BIN_I(x % y);
+  L_kNegI:
+    UNARY(0 - x);
+  L_kAndI:
+    BIN_I(x & y);
+  L_kOrI:
+    BIN_I(x | y);
+  L_kXorI:
+    BIN_I(x ^ y);
+  L_kShlI:
+    BIN_I(x << (y & 63));
+  L_kShrI:
+    BIN_I(x >> (y & 63));
+  L_kNotI:
+    UNARY(~x);
+  L_kMinI:
+    BIN_I(x < y ? x : y);
+  L_kMaxI:
+    BIN_I(x > y ? x : y);
+  L_kAbsI:
+    UNARY(FromI(std::llabs(AsI(x))));
+
+  L_kAddF:
+    BIN_F(FromF(x + y));
+  L_kSubF:
+    BIN_F(FromF(x - y));
+  L_kMulF:
+    BIN_F(FromF(x * y));
+  L_kDivF:
+    BIN_F(FromF(x / y));
+  L_kNegF:
+    UNARY(FromF(-AsF(x)));
+  L_kSqrtF:
+    UNARY(FromF(std::sqrt(AsF(x))));
+  L_kFabsF:
+    UNARY(FromF(std::fabs(AsF(x))));
+  L_kExpF:
+    UNARY(FromF(std::exp(AsF(x))));
+  L_kLogF:
+    UNARY(FromF(std::log(AsF(x))));
+  L_kPowF:
+    BIN_F(FromF(std::pow(x, y)));
+  L_kFminF:
+    BIN_F(FromF(std::fmin(x, y)));
+  L_kFmaxF:
+    BIN_F(FromF(std::fmax(x, y)));
+  L_kFloorF:
+    UNARY(FromF(std::floor(AsF(x))));
+  L_kCeilF:
+    UNARY(FromF(std::ceil(AsF(x))));
+
+  L_kCmpLtI:
+    BIN_I(x < y ? 1 : 0);
+  L_kCmpLeI:
+    BIN_I(x <= y ? 1 : 0);
+  L_kCmpEqI:
+    BIN_I(x == y ? 1 : 0);
+  L_kCmpNeI:
+    BIN_I(x != y ? 1 : 0);
+  L_kCmpLtF:
+    BIN_F(FromI(x < y ? 1 : 0));
+  L_kCmpLeF:
+    BIN_F(FromI(x <= y ? 1 : 0));
+  L_kCmpEqF:
+    BIN_F(FromI(x == y ? 1 : 0));
+  L_kCmpNeF:
+    BIN_F(FromI(x != y ? 1 : 0));
+
+  L_kTruncI32:
+    UNARY(FromI(static_cast<std::int32_t>(AsI(x))));
+  L_kRoundF32:
+    UNARY(FromF(static_cast<double>(static_cast<float>(AsF(x)))));
+  L_kI2F:
+    UNARY(FromF(static_cast<double>(AsI(x))));
+  L_kF2I:
+    UNARY(FromI(static_cast<std::int64_t>(AsF(x))));
+
+  L_kLoadI32:
+    LOAD(ValType::kI32);
+  L_kLoadF32:
+    LOAD(ValType::kF32);
+  L_kLoad64:
+    LOAD(ValType::kI64);
+  L_kStoreI32:
+    STORE(ValType::kI32);
+  L_kStoreF32:
+    STORE(ValType::kF32);
+  L_kStore64:
+    STORE(ValType::kI64);
+
+  L_kDirtyMark: {
+    const ArrayBinding& binding = binds[op->c];
+    if (binding.dirty.level1 != nullptr) {
+      const std::int64_t idx = AsI(REG(op->a));
+      if (idx >= binding.lo && idx < binding.hi) {
+        const std::int64_t local = idx - binding.lo;
+        std::atomic_ref<std::uint8_t>(binding.dirty.level1[local])
+            .store(1, std::memory_order_relaxed);
+        std::atomic_ref<std::uint8_t>(
+            binding.dirty.level2[local / binding.dirty.chunk_elems])
+            .store(1, std::memory_order_relaxed);
+        bytes_written += 2;
       }
-      switch (in.op) {
-        case Opcode::kConstI:
-          regs[static_cast<std::size_t>(in.dst)] = FromI(in.imm.i);
-          break;
-        case Opcode::kConstF:
-          regs[static_cast<std::size_t>(in.dst)] = FromF(in.imm.f);
-          break;
-        case Opcode::kMov:
-          regs[static_cast<std::size_t>(in.dst)] =
-              regs[static_cast<std::size_t>(in.a)];
-          break;
-
-#define REG(x) regs[static_cast<std::size_t>(x)]
-#define BIN_I(expr)                                           \
-  {                                                           \
-    const std::int64_t x = AsI(REG(in.a));                    \
-    const std::int64_t y = AsI(REG(in.b));                    \
-    (void)x; (void)y;                                         \
-    REG(in.dst) = FromI(expr);                                \
-  }                                                           \
-  break
-#define BIN_F(expr)                                           \
-  {                                                           \
-    const double x = AsF(REG(in.a));                          \
-    const double y = AsF(REG(in.b));                          \
-    (void)x; (void)y;                                         \
-    REG(in.dst) = FromF(expr);                                \
-  }                                                           \
-  break
-
-        case Opcode::kAddI: BIN_I(x + y);
-        case Opcode::kSubI: BIN_I(x - y);
-        case Opcode::kMulI: BIN_I(x * y);
-        case Opcode::kDivI: {
-          const std::int64_t y = AsI(REG(in.b));
-          if (y == 0) {
-            throw DeviceError("kernel '" + kernel_.name +
-                              "': integer division by zero");
-          }
-          REG(in.dst) = FromI(AsI(REG(in.a)) / y);
-          break;
-        }
-        case Opcode::kModI: {
-          const std::int64_t y = AsI(REG(in.b));
-          if (y == 0) {
-            throw DeviceError("kernel '" + kernel_.name +
-                              "': integer modulo by zero");
-          }
-          REG(in.dst) = FromI(AsI(REG(in.a)) % y);
-          break;
-        }
-        case Opcode::kNegI:
-          REG(in.dst) = FromI(-AsI(REG(in.a)));
-          break;
-        case Opcode::kAndI: BIN_I(x & y);
-        case Opcode::kOrI: BIN_I(x | y);
-        case Opcode::kXorI: BIN_I(x ^ y);
-        case Opcode::kShlI: BIN_I(x << (y & 63));
-        case Opcode::kShrI: BIN_I(x >> (y & 63));
-        case Opcode::kNotI:
-          REG(in.dst) = FromI(~AsI(REG(in.a)));
-          break;
-        case Opcode::kMinI: BIN_I(x < y ? x : y);
-        case Opcode::kMaxI: BIN_I(x > y ? x : y);
-        case Opcode::kAbsI:
-          REG(in.dst) = FromI(std::llabs(AsI(REG(in.a))));
-          break;
-
-        case Opcode::kAddF: BIN_F(x + y);
-        case Opcode::kSubF: BIN_F(x - y);
-        case Opcode::kMulF: BIN_F(x * y);
-        case Opcode::kDivF: BIN_F(x / y);
-        case Opcode::kNegF:
-          REG(in.dst) = FromF(-AsF(REG(in.a)));
-          break;
-        case Opcode::kSqrtF:
-          REG(in.dst) = FromF(std::sqrt(AsF(REG(in.a))));
-          break;
-        case Opcode::kFabsF:
-          REG(in.dst) = FromF(std::fabs(AsF(REG(in.a))));
-          break;
-        case Opcode::kExpF:
-          REG(in.dst) = FromF(std::exp(AsF(REG(in.a))));
-          break;
-        case Opcode::kLogF:
-          REG(in.dst) = FromF(std::log(AsF(REG(in.a))));
-          break;
-        case Opcode::kPowF: BIN_F(std::pow(x, y));
-        case Opcode::kFminF: BIN_F(std::fmin(x, y));
-        case Opcode::kFmaxF: BIN_F(std::fmax(x, y));
-        case Opcode::kFloorF:
-          REG(in.dst) = FromF(std::floor(AsF(REG(in.a))));
-          break;
-        case Opcode::kCeilF:
-          REG(in.dst) = FromF(std::ceil(AsF(REG(in.a))));
-          break;
-
-        case Opcode::kCmpLtI: BIN_I((x < y) ? 1 : 0);
-        case Opcode::kCmpLeI: BIN_I((x <= y) ? 1 : 0);
-        case Opcode::kCmpEqI: BIN_I((x == y) ? 1 : 0);
-        case Opcode::kCmpNeI: BIN_I((x != y) ? 1 : 0);
-        case Opcode::kCmpLtF: {
-          const double x = AsF(REG(in.a));
-          const double y = AsF(REG(in.b));
-          REG(in.dst) = FromI((x < y) ? 1 : 0);
-          break;
-        }
-        case Opcode::kCmpLeF: {
-          const double x = AsF(REG(in.a));
-          const double y = AsF(REG(in.b));
-          REG(in.dst) = FromI((x <= y) ? 1 : 0);
-          break;
-        }
-        case Opcode::kCmpEqF: {
-          const double x = AsF(REG(in.a));
-          const double y = AsF(REG(in.b));
-          REG(in.dst) = FromI((x == y) ? 1 : 0);
-          break;
-        }
-        case Opcode::kCmpNeF: {
-          const double x = AsF(REG(in.a));
-          const double y = AsF(REG(in.b));
-          REG(in.dst) = FromI((x != y) ? 1 : 0);
-          break;
-        }
-
-        case Opcode::kTruncI32:
-          REG(in.dst) = FromI(static_cast<std::int32_t>(AsI(REG(in.a))));
-          break;
-        case Opcode::kRoundF32:
-          REG(in.dst) =
-              FromF(static_cast<double>(static_cast<float>(AsF(REG(in.a)))));
-          break;
-        case Opcode::kI2F:
-          REG(in.dst) = FromF(static_cast<double>(AsI(REG(in.a))));
-          break;
-        case Opcode::kF2I:
-          REG(in.dst) = FromI(static_cast<std::int64_t>(AsF(REG(in.a))));
-          break;
-
-        case Opcode::kLoad: {
-          const auto& binding = bindings[static_cast<std::size_t>(in.arr)];
-          const auto& param = kernel_.arrays[static_cast<std::size_t>(in.arr)];
-          const std::int64_t idx = AsI(REG(in.a));
-          if (idx < binding.lo || idx >= binding.hi) {
-            throw DeviceError(
-                "kernel '" + kernel_.name + "': read of non-resident element " +
-                param.name + "[" + std::to_string(idx) + "], resident [" +
-                std::to_string(binding.lo) + ", " +
-                std::to_string(binding.hi) + ")");
-          }
-          REG(in.dst) =
-              LoadElement(binding.data, idx - binding.lo, param.elem);
-          bytes_read += ValTypeSize(param.elem);
-          break;
-        }
-        case Opcode::kStore: {
-          const auto& binding = bindings[static_cast<std::size_t>(in.arr)];
-          const auto& param = kernel_.arrays[static_cast<std::size_t>(in.arr)];
-          const std::int64_t idx = AsI(REG(in.a));
-          const std::uint64_t raw = RegToElementRaw(REG(in.b), param.elem);
-          if (idx >= binding.write_lo && idx < binding.write_hi) {
-            StoreElementRaw(binding.data, idx - binding.lo, param.elem, raw);
-          } else if (binding.miss != nullptr) {
-            // Write miss on a distributed array: buffer the (address, data)
-            // record for the communication manager (Section IV-D2).
-            chunk->misses[static_cast<std::size_t>(in.arr)].push_back(
-                WriteMissRecord{idx, raw});
-          } else {
-            throw DeviceError(
-                "kernel '" + kernel_.name +
-                "': write to non-resident element " + param.name + "[" +
-                std::to_string(idx) + "] without a write-miss buffer");
-          }
-          bytes_written += ValTypeSize(param.elem);
-          break;
-        }
-        case Opcode::kDirtyMark: {
-          const auto& binding = bindings[static_cast<std::size_t>(in.arr)];
-          if (binding.dirty.level1 != nullptr) {
-            const std::int64_t idx = AsI(REG(in.a));
-            if (idx >= binding.lo && idx < binding.hi) {
-              const std::int64_t local = idx - binding.lo;
-              std::atomic_ref<std::uint8_t>(binding.dirty.level1[local])
-                  .store(1, std::memory_order_relaxed);
-              std::atomic_ref<std::uint8_t>(
-                  binding.dirty.level2[local / binding.dirty.chunk_elems])
-                  .store(1, std::memory_order_relaxed);
-              bytes_written += 2;
-            }
-          }
-          break;
-        }
-
-        case Opcode::kRedScalar: {
-          const auto slot = static_cast<std::size_t>(in.imm.i);
-          const auto& red = kernel_.scalar_reductions[slot];
-          const std::uint64_t value =
-              RegToElementRaw(REG(in.a), red.type);
-          chunk->scalar_red[slot] =
-              CombineRaw(red.op, red.type, chunk->scalar_red[slot], value);
-          break;
-        }
-        case Opcode::kRedArray: {
-          const auto slot = static_cast<std::size_t>(in.imm.i);
-          const auto& red = kernel_.array_reductions[slot];
-          const std::int64_t idx = AsI(REG(in.a));
-          const std::int64_t lower = array_red_lower[slot];
-          const std::int64_t length = array_red_length[slot];
-          if (idx < lower || idx >= lower + length) {
-            throw DeviceError("kernel '" + kernel_.name +
-                              "': reductiontoarray index " +
-                              std::to_string(idx) +
-                              " outside the declared section [" +
-                              std::to_string(lower) + ", " +
-                              std::to_string(lower + length) + ")");
-          }
-          auto& cell =
-              chunk->array_red[slot][static_cast<std::size_t>(idx - lower)];
-          cell = CombineRaw(red.op, red.type, cell,
-                            RegToElementRaw(REG(in.b), red.type));
-          break;
-        }
-
-        case Opcode::kBr:
-          pc = static_cast<std::size_t>(in.imm.i);
-          continue;
-        case Opcode::kBrIf:
-          if (AsI(REG(in.a)) != 0) {
-            pc = static_cast<std::size_t>(in.imm.i);
-            continue;
-          }
-          break;
-        case Opcode::kBrIfNot:
-          if (AsI(REG(in.a)) == 0) {
-            pc = static_cast<std::size_t>(in.imm.i);
-            continue;
-          }
-          break;
-        case Opcode::kRet:
-          goto thread_done;
-      }
-      ++pc;
     }
-  thread_done:;
+  }
+    NEXT();
+
+  L_kRedScalar: {
+    const auto slot = static_cast<std::size_t>(op->c);
+    const ScalarReduction& red = kernel.scalar_reductions_[slot];
+    chunk->scalar_red[slot] =
+        CombineRaw(red.op, red.type, chunk->scalar_red[slot],
+                   RegToElementRaw(REG(op->a), red.type));
+  }
+    NEXT();
+  L_kRedArray: {
+    const auto slot = static_cast<std::size_t>(op->c);
+    const ArrayReduction& red = kernel.array_reductions_[slot];
+    const std::int64_t idx = AsI(REG(op->a));
+    const std::int64_t lower = array_red_lower[slot];
+    const std::int64_t length = array_red_length[slot];
+    if (idx < lower || idx >= lower + length) [[unlikely]] {
+      ThrowOutsideSection(name, idx, lower, length);
+    }
+    std::uint64_t& cell =
+        chunk->array_red[slot][static_cast<std::size_t>(idx - lower)];
+    cell = CombineRaw(red.op, red.type, cell,
+                      RegToElementRaw(REG(op->b), red.type));
+  }
+    NEXT();
+
+  L_kBr:
+    ENTER(op->c);
+  L_kBrIf:
+    ENTER(REG(op->a) != 0 ? op->c : op->b);
+  L_kBrIfNot:
+    ENTER(REG(op->a) == 0 ? op->c : op->b);
+  L_kFall:
+    ENTER(op->c);
+  L_kRet:
+    continue;
+
+  L_kAddFRound:
+    FUSED_ROUND(x + y);
+  L_kSubFRound:
+    FUSED_ROUND(x - y);
+  L_kMulFRound:
+    FUSED_ROUND(x * y);
+  L_kDivFRound:
+    FUSED_ROUND(x / y);
+  L_kAddITrunc:
+    FUSED_TRUNC(x + y);
+  L_kSubITrunc:
+    FUSED_TRUNC(x - y);
+  L_kMulITrunc:
+    FUSED_TRUNC(x * y);
+  }
 #undef REG
+#undef DISPATCH
+#undef NEXT
+#undef ENTER
+#undef UNARY
 #undef BIN_I
 #undef BIN_F
-  }
+#undef FUSED_ROUND
+#undef FUSED_TRUNC
+#undef LOAD
+#undef STORE
 
   chunk->stats = sim::KernelStats{instr, bytes_read, bytes_written};
-  return chunk;
+  return nullptr;
 }
 
 void KernelExec::Fold(sim::ChunkOutput& output) {
   auto& chunk = static_cast<ExecChunk&>(output);
   for (std::size_t s = 0; s < chunk.scalar_red.size(); ++s) {
-    const auto& red = kernel_.scalar_reductions[s];
+    const auto& red = kernel_.scalar_reductions_[s];
     scalar_red_results_[s] = CombineRaw(red.op, red.type,
                                         scalar_red_results_[s],
                                         chunk.scalar_red[s]);
   }
   for (std::size_t r = 0; r < chunk.array_red.size(); ++r) {
-    const auto& red = kernel_.array_reductions[r];
+    const auto& red = kernel_.array_reductions_[r];
     CombineRawSpan(red.op, red.type, array_red_partials_[r].data(),
                    chunk.array_red[r].data(), array_red_partials_[r].size());
   }

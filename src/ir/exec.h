@@ -1,19 +1,28 @@
 // Execution of Kernel IR on the virtual GPU.
 //
-// KernelExec adapts a KernelIR to sim::KernelBody. The runtime binds each
-// array parameter to the resident segment on the launching device; the
-// interpreter enforces residency (a read or unchecked write outside the
-// bound segment throws DeviceError — on real hardware that is a corrupted
-// result, here it is a loud failure), performs the paper's write-miss
-// spilling for distributed arrays, marks two-level dirty bits for replicated
-// arrays, and privatizes reductions and write-miss records per chunk of the
-// engine's fixed grid (sim/kernel.h). Chunks fold into the launch's outputs
-// in grid order, so float reductions and the miss replay order are the same
-// on every host.
+// DecodedKernel is the executable form of a KernelIR: decoded once per
+// compiled kernel (translator::Compile stores it on the LoopOffload), then
+// shared read-only by every launch. Decoding verifies the kernel, splits it
+// into basic blocks whose static cost (instruction weight and count, load and
+// store bytes) is charged once on block entry, specializes loads and stores
+// by element type, and fuses an arithmetic op with the round.f32/trunc.i32 of
+// its result into one dispatch.
+//
+// KernelExec adapts a DecodedKernel to sim::KernelBody. The runtime binds
+// each array parameter to the resident segment on the launching device; the
+// engine enforces residency (a read or unchecked write outside the bound
+// segment throws DeviceError — on real hardware that is a corrupted result,
+// here it is a loud failure), performs the paper's write-miss spilling for
+// distributed arrays, marks two-level dirty bits for replicated arrays, and
+// privatizes reductions and write-miss records per chunk of the engine's
+// fixed grid (sim/kernel.h). Chunks fold into the launch's outputs in grid
+// order, so float reductions and the miss replay order are the same on every
+// host.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ir/ir.h"
@@ -63,9 +72,98 @@ struct ArrayBinding {
 /// Raw 64-bit register image of a scalar value of the given type.
 std::uint64_t EncodeScalar(ValType type, double fval, std::int64_t ival);
 
+/// Register-to-register ops; each decodes one-to-one to the DecodedOpKind of
+/// the same name.
+#define ACCMG_ARITH_OPS(X)                                                 \
+  X(kMov)                                                                  \
+  X(kAddI) X(kSubI) X(kMulI) X(kDivI) X(kModI) X(kNegI)                    \
+  X(kAndI) X(kOrI) X(kXorI) X(kShlI) X(kShrI) X(kNotI)                     \
+  X(kMinI) X(kMaxI) X(kAbsI)                                               \
+  X(kAddF) X(kSubF) X(kMulF) X(kDivF) X(kNegF)                             \
+  X(kSqrtF) X(kFabsF) X(kExpF) X(kLogF) X(kPowF) X(kFminF) X(kFmaxF)       \
+  X(kFloorF) X(kCeilF)                                                     \
+  X(kCmpLtI) X(kCmpLeI) X(kCmpEqI) X(kCmpNeI)                              \
+  X(kCmpLtF) X(kCmpLeF) X(kCmpEqF) X(kCmpNeF)                              \
+  X(kTruncI32) X(kRoundF32) X(kI2F) X(kF2I)
+
+/// Decoded operations: kConst (both constant opcodes), the arithmetic ops,
+/// loads and stores specialized by element type (64-bit elements share one
+/// raw path), kFall (charges the next block when a block ends without a
+/// branch), and the fused ops, which run an arithmetic op and the
+/// round.f32 / trunc.i32 of its result.
+#define ACCMG_DECODED_OPS(X)                                               \
+  X(kConst) ACCMG_ARITH_OPS(X)                                             \
+  X(kLoadI32) X(kLoadF32) X(kLoad64)                                       \
+  X(kStoreI32) X(kStoreF32) X(kStore64)                                    \
+  X(kDirtyMark) X(kRedScalar) X(kRedArray)                                 \
+  X(kBr) X(kBrIf) X(kBrIfNot) X(kFall) X(kRet)                             \
+  X(kAddFRound) X(kSubFRound) X(kMulFRound) X(kDivFRound)                  \
+  X(kAddITrunc) X(kSubITrunc) X(kMulITrunc)
+
+enum class DecodedOpKind : std::uint16_t {
+#define ACCMG_DECODED_OP_ENUM(name) name,
+  ACCMG_DECODED_OPS(ACCMG_DECODED_OP_ENUM)
+#undef ACCMG_DECODED_OP_ENUM
+};
+
+struct DecodedOp {
+  /// Address of the engine's handler for `kind`: each handler jumps
+  /// straight to the next op's (direct threading).
+  void* handler = nullptr;
+  DecodedOpKind kind{};
+  std::int32_t dst = -1;
+  std::int32_t a = -1;
+  /// Second operand; for kBrIf/kBrIfNot the fall-through block.
+  std::int32_t b = -1;
+  /// Array parameter (loads, stores, kDirtyMark), reduction slot, target
+  /// block (kBr, kBrIf, kBrIfNot, kFall), or the second destination of a
+  /// fused pair.
+  std::int32_t c = -1;
+  std::uint64_t imm = 0;  ///< kConst: the register bits
+};
+
+/// A basic block's static cost, charged once on entry.
+struct DecodedBlock {
+  std::uint32_t first_op = 0;  ///< index into DecodedKernel ops
+  std::uint32_t count = 0;     ///< IR instructions (the budget unit)
+  std::uint64_t weight = 0;    ///< summed instruction weights
+  std::uint64_t bytes_read = 0;
+  std::uint64_t bytes_written = 0;  ///< stores; kDirtyMark bytes stay dynamic
+};
+
+class DecodedKernel {
+ public:
+  /// An empty kernel; KernelExec refuses to run it.
+  DecodedKernel() = default;
+  /// Verifies `kernel` (ir::Verify's checks, in the decoding pass) and
+  /// decodes it. Throws InternalError on a malformed kernel.
+  explicit DecodedKernel(const KernelIR& kernel);
+
+  bool empty() const { return ops_.empty(); }
+  const std::vector<DecodedOp>& ops() const { return ops_; }
+
+ private:
+  friend class KernelExec;
+
+  std::string name_;
+  std::vector<ArrayParam> arrays_;
+  std::size_t num_scalars_ = 0;
+  std::vector<ScalarReduction> scalar_reductions_;
+  std::vector<ArrayReduction> array_reductions_;
+  int num_regs_ = 0;
+  int thread_id_reg_ = 0;
+  /// Scalar parameters whose register some instruction writes: reloaded for
+  /// every thread. The others are loaded once per chunk.
+  std::vector<std::size_t> reloaded_scalars_;
+  std::vector<DecodedOp> ops_;
+  std::vector<DecodedBlock> blocks_;  ///< block 0 is the entry
+};
+
 class KernelExec final : public sim::KernelBody {
  public:
-  explicit KernelExec(const KernelIR& kernel);
+  /// `kernel` must outlive the KernelExec.
+  explicit KernelExec(const DecodedKernel& kernel);
+  KernelExec(DecodedKernel&&) = delete;
 
   /// --- launch configuration (set before Platform::LaunchKernels) ---
   std::vector<ArrayBinding> bindings;       ///< parallel to kernel.arrays
@@ -99,7 +197,15 @@ class KernelExec final : public sim::KernelBody {
   void Fold(sim::ChunkOutput& chunk) override;
 
  private:
-  const KernelIR& kernel_;
+  friend class DecodedKernel;  // stores the engine's handler addresses
+
+  /// The engine: runs threads [tid_begin, tid_end) of `exec` into `chunk`
+  /// (an ExecChunk). With a null `exec` it runs nothing and returns its
+  /// handler table, indexed by DecodedOpKind.
+  static void* const* Engine(const KernelExec* exec, sim::ChunkOutput* chunk,
+                             std::int64_t tid_begin, std::int64_t tid_end);
+
+  const DecodedKernel& kernel_;
 
   std::vector<std::uint64_t> scalar_red_results_;
   std::vector<std::vector<std::uint64_t>> array_red_partials_;

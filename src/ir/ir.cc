@@ -111,11 +111,27 @@ int KernelIR::FindScalar(const std::string& name) const {
   return -1;
 }
 
-namespace {
-
-bool HasImmTarget(Opcode op) {
+bool IsBranch(Opcode op) {
   return op == Opcode::kBr || op == Opcode::kBrIf || op == Opcode::kBrIfNot;
 }
+
+bool ProducesValue(Opcode op) {
+  switch (op) {
+    case Opcode::kStore:
+    case Opcode::kDirtyMark:
+    case Opcode::kRedScalar:
+    case Opcode::kRedArray:
+    case Opcode::kBr:
+    case Opcode::kBrIf:
+    case Opcode::kBrIfNot:
+    case Opcode::kRet:
+      return false;
+    default:
+      return true;
+  }
+}
+
+namespace {
 
 bool HasFloatImm(Opcode op) { return op == Opcode::kConstF; }
 
@@ -151,7 +167,7 @@ std::string Print(const KernelIR& kernel) {
     if (in.arr >= 0) os << " @" << kernel.arrays[static_cast<std::size_t>(in.arr)].name;
     if (in.a >= 0) os << " r" << in.a;
     if (in.b >= 0) os << " r" << in.b;
-    if (HasImmTarget(in.op)) {
+    if (IsBranch(in.op)) {
       os << " -> " << in.imm.i;
     } else if (HasFloatImm(in.op)) {
       os << " #" << in.imm.f;
@@ -164,102 +180,17 @@ std::string Print(const KernelIR& kernel) {
   return os.str();
 }
 
-void Verify(const KernelIR& kernel) {
-  const auto n_code = static_cast<std::int64_t>(kernel.code.size());
-  ACCMG_CHECK(n_code > 0, "kernel '" + kernel.name + "' has no code");
+void VerifySignature(const KernelIR& kernel) {
+  ACCMG_CHECK(!kernel.code.empty(), "kernel '" + kernel.name + "' has no code");
   ACCMG_CHECK(kernel.num_regs > 0, "kernel has no registers");
   ACCMG_CHECK(kernel.thread_id_reg >= 0 &&
                   kernel.thread_id_reg < kernel.num_regs,
               "thread id register out of range");
-  auto check_reg = [&](std::int32_t r, const char* what) {
-    ACCMG_CHECK(r >= 0 && r < kernel.num_regs,
-                std::string("register out of range for ") + what);
-  };
-  for (std::size_t pc = 0; pc < kernel.code.size(); ++pc) {
-    const Instr& in = kernel.code[pc];
-    switch (in.op) {
-      case Opcode::kConstI:
-      case Opcode::kConstF:
-        check_reg(in.dst, "const dst");
-        break;
-      case Opcode::kMov:
-      case Opcode::kNegI:
-      case Opcode::kNotI:
-      case Opcode::kAbsI:
-      case Opcode::kNegF:
-      case Opcode::kSqrtF:
-      case Opcode::kFabsF:
-      case Opcode::kExpF:
-      case Opcode::kLogF:
-      case Opcode::kFloorF:
-      case Opcode::kCeilF:
-      case Opcode::kTruncI32:
-      case Opcode::kRoundF32:
-      case Opcode::kI2F:
-      case Opcode::kF2I:
-        check_reg(in.dst, "unary dst");
-        check_reg(in.a, "unary src");
-        break;
-      case Opcode::kAddI: case Opcode::kSubI: case Opcode::kMulI:
-      case Opcode::kDivI: case Opcode::kModI: case Opcode::kAndI:
-      case Opcode::kOrI: case Opcode::kXorI: case Opcode::kShlI:
-      case Opcode::kShrI: case Opcode::kMinI: case Opcode::kMaxI:
-      case Opcode::kAddF: case Opcode::kSubF: case Opcode::kMulF:
-      case Opcode::kDivF: case Opcode::kPowF: case Opcode::kFminF:
-      case Opcode::kFmaxF:
-      case Opcode::kCmpLtI: case Opcode::kCmpLeI: case Opcode::kCmpEqI:
-      case Opcode::kCmpNeI: case Opcode::kCmpLtF: case Opcode::kCmpLeF:
-      case Opcode::kCmpEqF: case Opcode::kCmpNeF:
-        check_reg(in.dst, "binary dst");
-        check_reg(in.a, "binary lhs");
-        check_reg(in.b, "binary rhs");
-        break;
-      case Opcode::kLoad:
-        check_reg(in.dst, "load dst");
-        check_reg(in.a, "load index");
-        ACCMG_CHECK(in.arr >= 0 &&
-                        in.arr < static_cast<std::int32_t>(kernel.arrays.size()),
-                    "load array index out of range");
-        break;
-      case Opcode::kStore:
-        check_reg(in.a, "store index");
-        check_reg(in.b, "store value");
-        ACCMG_CHECK(in.arr >= 0 &&
-                        in.arr < static_cast<std::int32_t>(kernel.arrays.size()),
-                    "store array index out of range");
-        break;
-      case Opcode::kDirtyMark:
-        check_reg(in.a, "dirty index");
-        ACCMG_CHECK(in.arr >= 0 &&
-                        in.arr < static_cast<std::int32_t>(kernel.arrays.size()),
-                    "dirty array index out of range");
-        break;
-      case Opcode::kRedScalar:
-        check_reg(in.a, "reduction value");
-        ACCMG_CHECK(in.imm.i >= 0 &&
-                        in.imm.i < static_cast<std::int64_t>(
-                                       kernel.scalar_reductions.size()),
-                    "scalar reduction slot out of range");
-        break;
-      case Opcode::kRedArray:
-        check_reg(in.a, "array reduction index");
-        check_reg(in.b, "array reduction value");
-        ACCMG_CHECK(in.imm.i >= 0 &&
-                        in.imm.i < static_cast<std::int64_t>(
-                                       kernel.array_reductions.size()),
-                    "array reduction slot out of range");
-        break;
-      case Opcode::kBr:
-      case Opcode::kBrIf:
-      case Opcode::kBrIfNot:
-        if (in.op != Opcode::kBr) check_reg(in.a, "branch condition");
-        ACCMG_CHECK(in.imm.i >= 0 && in.imm.i < n_code,
-                    "branch target out of range");
-        break;
-      case Opcode::kRet:
-        break;
-    }
-  }
+  // Scalar s is pre-loaded into register thread_id_reg + 1 + s.
+  ACCMG_CHECK(kernel.thread_id_reg + 1 +
+                      static_cast<std::int64_t>(kernel.scalars.size()) <=
+                  kernel.num_regs,
+              "scalar parameter registers out of range");
   // Last instruction must terminate (fallthrough off the end is a bug).
   const Opcode last = kernel.code.back().op;
   ACCMG_CHECK(last == Opcode::kRet || last == Opcode::kBr,
@@ -269,6 +200,103 @@ void Verify(const KernelIR& kernel) {
                     red.array_index <
                         static_cast<int>(kernel.arrays.size()),
                 "array reduction destination out of range");
+  }
+}
+
+void VerifyInstr(const KernelIR& kernel, std::size_t pc) {
+  const auto n_code = static_cast<std::int64_t>(kernel.code.size());
+  auto check_reg = [&](std::int32_t r, const char* what) {
+    ACCMG_CHECK(r >= 0 && r < kernel.num_regs,
+                std::string("register out of range for ") + what);
+  };
+  auto check_arr = [&](std::int32_t arr, const char* what) {
+    ACCMG_CHECK(
+        arr >= 0 && arr < static_cast<std::int32_t>(kernel.arrays.size()),
+        std::string(what) + " array index out of range");
+  };
+  const Instr& in = kernel.code[pc];
+  switch (in.op) {
+    case Opcode::kConstI:
+    case Opcode::kConstF:
+      check_reg(in.dst, "const dst");
+      break;
+    case Opcode::kMov:
+    case Opcode::kNegI:
+    case Opcode::kNotI:
+    case Opcode::kAbsI:
+    case Opcode::kNegF:
+    case Opcode::kSqrtF:
+    case Opcode::kFabsF:
+    case Opcode::kExpF:
+    case Opcode::kLogF:
+    case Opcode::kFloorF:
+    case Opcode::kCeilF:
+    case Opcode::kTruncI32:
+    case Opcode::kRoundF32:
+    case Opcode::kI2F:
+    case Opcode::kF2I:
+      check_reg(in.dst, "unary dst");
+      check_reg(in.a, "unary src");
+      break;
+    case Opcode::kAddI: case Opcode::kSubI: case Opcode::kMulI:
+    case Opcode::kDivI: case Opcode::kModI: case Opcode::kAndI:
+    case Opcode::kOrI: case Opcode::kXorI: case Opcode::kShlI:
+    case Opcode::kShrI: case Opcode::kMinI: case Opcode::kMaxI:
+    case Opcode::kAddF: case Opcode::kSubF: case Opcode::kMulF:
+    case Opcode::kDivF: case Opcode::kPowF: case Opcode::kFminF:
+    case Opcode::kFmaxF:
+    case Opcode::kCmpLtI: case Opcode::kCmpLeI: case Opcode::kCmpEqI:
+    case Opcode::kCmpNeI: case Opcode::kCmpLtF: case Opcode::kCmpLeF:
+    case Opcode::kCmpEqF: case Opcode::kCmpNeF:
+      check_reg(in.dst, "binary dst");
+      check_reg(in.a, "binary lhs");
+      check_reg(in.b, "binary rhs");
+      break;
+    case Opcode::kLoad:
+      check_reg(in.dst, "load dst");
+      check_reg(in.a, "load index");
+      check_arr(in.arr, "load");
+      break;
+    case Opcode::kStore:
+      check_reg(in.a, "store index");
+      check_reg(in.b, "store value");
+      check_arr(in.arr, "store");
+      break;
+    case Opcode::kDirtyMark:
+      check_reg(in.a, "dirty index");
+      check_arr(in.arr, "dirty");
+      break;
+    case Opcode::kRedScalar:
+      check_reg(in.a, "reduction value");
+      ACCMG_CHECK(in.imm.i >= 0 &&
+                      in.imm.i < static_cast<std::int64_t>(
+                                     kernel.scalar_reductions.size()),
+                  "scalar reduction slot out of range");
+      break;
+    case Opcode::kRedArray:
+      check_reg(in.a, "array reduction index");
+      check_reg(in.b, "array reduction value");
+      ACCMG_CHECK(in.imm.i >= 0 &&
+                      in.imm.i < static_cast<std::int64_t>(
+                                     kernel.array_reductions.size()),
+                  "array reduction slot out of range");
+      break;
+    case Opcode::kBr:
+    case Opcode::kBrIf:
+    case Opcode::kBrIfNot:
+      if (in.op != Opcode::kBr) check_reg(in.a, "branch condition");
+      ACCMG_CHECK(in.imm.i >= 0 && in.imm.i < n_code,
+                  "branch target out of range");
+      break;
+    case Opcode::kRet:
+      break;
+  }
+}
+
+void Verify(const KernelIR& kernel) {
+  VerifySignature(kernel);
+  for (std::size_t pc = 0; pc < kernel.code.size(); ++pc) {
+    VerifyInstr(kernel, pc);
   }
 }
 

@@ -79,6 +79,13 @@ enum class Opcode : std::uint8_t {
 
 const char* OpcodeName(Opcode op);
 
+/// kBr, kBrIf and kBrIfNot: the ops whose imm.i is a branch target.
+bool IsBranch(Opcode op);
+
+/// Whether `op` writes its dst register (everything but stores, dirty
+/// marks, reductions and control flow).
+bool ProducesValue(Opcode op);
+
 struct Instr {
   Opcode op{};
   std::int32_t dst = -1;
@@ -152,5 +159,11 @@ std::string Print(const KernelIR& kernel);
 /// Structural validation: register/arr indices in range, branch targets valid,
 /// code ends with kRet on every path. Throws InternalError on violations.
 void Verify(const KernelIR& kernel);
+
+/// Verify's checks in two parts, so a pass over the code that does other
+/// work (DecodedKernel) runs them without a second pass: the kernel-level
+/// checks, and the checks of the instruction at `pc`.
+void VerifySignature(const KernelIR& kernel);
+void VerifyInstr(const KernelIR& kernel, std::size_t pc);
 
 }  // namespace accmg::ir

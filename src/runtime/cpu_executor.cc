@@ -20,7 +20,7 @@ void CpuExecutor::RunOffload(const translator::LoopOffload& offload,
       offload, env,
       [&](const frontend::VarDecl& decl) { return resolve(decl).count; });
 
-  ir::KernelExec exec(offload.kernel);
+  ir::KernelExec exec(offload.decoded);
   values.BindTo(exec);
   for (std::size_t a = 0; a < offload.arrays.size(); ++a) {
     const HostArray array = resolve(*offload.arrays[a].decl);

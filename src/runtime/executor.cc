@@ -464,6 +464,8 @@ void Executor::LaunchKernels(OffloadStep& step) {
   std::vector<sim::DeviceLaunch> batch;
   for (std::size_t g = 0; g < n; ++g) AddDeviceLaunches(step, g, batch);
   platform_.LaunchKernels(batch);
+  sim::KernelStats& cost = stats_.kernels[step.offload.name];
+  for (const sim::DeviceLaunch& dl : batch) cost += dl.stats;
 
   // Time up to the slowest interior is kernel execution; any boundary tail
   // beyond it exists only because the boundary waited on an in-flight
@@ -496,7 +498,7 @@ void Executor::AddDeviceLaunches(OffloadStep& step, std::size_t g,
                                  std::vector<sim::DeviceLaunch>& batch) {
   const LoopOffload& offload = step.offload;
   const Range task = step.tasks[g];
-  auto exec = std::make_unique<ir::KernelExec>(offload.kernel);
+  auto exec = std::make_unique<ir::KernelExec>(offload.decoded);
   step.values.BindTo(*exec);
   for (std::size_t a = 0; a < step.bound.size(); ++a) {
     const BoundArray& ba = step.bound[a];

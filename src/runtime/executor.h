@@ -18,7 +18,9 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -36,6 +38,9 @@ namespace accmg::runtime {
 
 struct ExecutorStats {
   std::uint64_t offload_runs = 0;   ///< kernel executions (Table II column C)
+  /// Dynamic kernel cost per offload name, summed over its launches on
+  /// every device.
+  std::map<std::string, sim::KernelStats> kernels;
 };
 
 class Executor {

@@ -245,6 +245,7 @@ RunReport HostInterpreter::Run() {
     report_.loader = gpu_->loader().stats();
     report_.comm = gpu_->comm().stats();
     report_.kernel_executions = gpu_->stats().offload_runs;
+    report_.kernel_stats = gpu_->stats().kernels;
     if (gpu_->validator() != nullptr) {
       report_.validator = gpu_->validator()->stats();
     }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -99,6 +100,9 @@ struct RunReport {
   CommStats comm;
   sim::PlatformCounters counters;
   std::uint64_t kernel_executions = 0;  ///< Table II column C
+  /// Dynamic kernel cost (instructions, bytes) per offload name, summed
+  /// over every launch on every device. Empty for the CPU baseline.
+  std::map<std::string, sim::KernelStats> kernel_stats;
 
   /// Populated when ExecOptions::validate is on (all zeros otherwise).
   ValidatorStats validator;

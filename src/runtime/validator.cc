@@ -158,7 +158,7 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
               "validator check without a matching BeginOffload");
 
   // --- golden execution: one device, whole iteration space, full arrays ---
-  ir::KernelExec exec(offload.kernel);
+  ir::KernelExec exec(offload.decoded);
   values_.BindTo(exec);
   for (std::size_t a = 0; a < arrays_.size(); ++a) {
     ManagedArray& array = resolve(*arrays_[a].config->decl);

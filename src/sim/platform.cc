@@ -10,6 +10,7 @@
 
 #include "common/error.h"
 #include "common/metrics.h"
+#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/trace.h"
 
@@ -28,6 +29,7 @@ struct SimMetrics {
   metrics::Counter& p2p_bytes;
   metrics::Histogram& transfer_bytes;
   metrics::Histogram& kernel_seconds;
+  metrics::Histogram& kernel_wall_seconds;
 
   static SimMetrics& Get() {
     static SimMetrics m{
@@ -40,6 +42,7 @@ struct SimMetrics {
         metrics::Registry::Global().counter("sim.p2p_bytes"),
         metrics::Registry::Global().histogram("sim.transfer_bytes"),
         metrics::Registry::Global().histogram("sim.kernel_seconds"),
+        metrics::Registry::Global().histogram("sim.kernel_wall_seconds"),
     };
     return m;
   }
@@ -76,6 +79,7 @@ void RunChunks(ThreadPool& pool, const std::vector<DeviceLaunch*>& launches) {
     std::int64_t lo, hi;
     std::unique_ptr<ChunkOutput> output;
     std::exception_ptr error;
+    double wall_s;
   };
   std::vector<Chunk> chunks;        // launch by launch, each in grid order
   std::vector<KernelBody*> bodies;  // distinct, in issue order
@@ -93,7 +97,7 @@ void RunChunks(ThreadPool& pool, const std::vector<DeviceLaunch*>& launches) {
     for (std::int64_t c = 0; c < count; ++c) {
       chunks.push_back(Chunk{dl, body, launch.first_thread + n * c / count,
                              launch.first_thread + n * (c + 1) / count,
-                             nullptr, nullptr});
+                             nullptr, nullptr, 0});
     }
   }
   // The task that finishes a body's last chunk folds all of that body's
@@ -113,15 +117,18 @@ void RunChunks(ThreadPool& pool, const std::vector<DeviceLaunch*>& launches) {
       }
       dl.launch.body->Fold(*chunk.output);
       dl.stats += chunk.output->stats;
+      dl.wall_s += chunk.wall_s;
     }
   };
   pool.Run(chunks.size(), [&](std::size_t i) {
     Chunk& chunk = chunks[i];
+    const Stopwatch watch;
     try {
       chunk.output = chunk.dl->launch.body->RunChunk(chunk.lo, chunk.hi);
     } catch (...) {
       chunk.error = std::current_exception();
     }
+    chunk.wall_s = watch.ElapsedSeconds();
     if (pending[chunk.body].fetch_sub(1, std::memory_order_acq_rel) == 1) {
       fold(chunk.body);
     }
@@ -404,6 +411,7 @@ void Platform::LaunchKernels(std::vector<DeviceLaunch>& batch) {
         trace::category::kKernel, dl.device_id, dl.end_s, duration);
     m.kernel_launches.Add();
     m.kernel_seconds.Observe(duration);
+    m.kernel_wall_seconds.Observe(dl.wall_s);
   }
   for (const DeviceLaunch& dl : batch) {
     if (dl.error) std::rethrow_exception(dl.error);

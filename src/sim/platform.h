@@ -48,6 +48,7 @@ struct DeviceLaunch {
   int device_id = 0;
   KernelLaunch launch;
   KernelStats stats;         ///< out: summed cost of the launch's chunks
+  double wall_s = 0;         ///< out: host wall seconds its chunks ran, summed
   double end_s = 0;          ///< out: simulated end time (0 if not scheduled)
   std::exception_ptr error;  ///< out: its fault or first body error, if any
 };

@@ -785,6 +785,9 @@ CompiledProgram Compile(const frontend::Program& program,
     if (options.opt_level > 0) {
       OptimizeFunction(compiled.functions.back(), options);
     }
+    for (LoopOffload& offload : compiled.functions.back().offloads) {
+      offload.decoded = ir::DecodedKernel(offload.kernel);
+    }
   }
   return compiled;
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "frontend/ast.h"
+#include "ir/exec.h"
 #include "ir/ir.h"
 
 namespace accmg::translator {
@@ -120,6 +121,9 @@ struct LoopOffload {
   std::vector<FusedLoop> fused;
 
   ir::KernelIR kernel;
+  /// `kernel` decoded for execution; built once by Compile after the
+  /// mid-end and shared read-only by every launch of this offload.
+  ir::DecodedKernel decoded;
   std::vector<ArrayConfig> arrays;        ///< parallel to kernel.arrays
   std::vector<ScalarArg> scalars;         ///< parallel to kernel.scalars
   std::vector<ScalarRedTarget> scalar_reds;

@@ -29,7 +29,9 @@ using frontend::ExprKind;
 using frontend::Stmt;
 using frontend::StmtKind;
 using frontend::VarDecl;
+using ir::IsBranch;
 using ir::Opcode;
+using ir::ProducesValue;
 
 namespace {
 
@@ -517,26 +519,6 @@ void FuseAdjacentOffloads(CompiledFunction& fn, OptStats* stats) {
 // Kernel IR facts
 // ---------------------------------------------------------------------------
 
-bool IsBranch(Opcode op) {
-  return op == Opcode::kBr || op == Opcode::kBrIf || op == Opcode::kBrIfNot;
-}
-
-bool ProducesValue(Opcode op) {
-  switch (op) {
-    case Opcode::kStore:
-    case Opcode::kDirtyMark:
-    case Opcode::kRedScalar:
-    case Opcode::kRedArray:
-    case Opcode::kBr:
-    case Opcode::kBrIf:
-    case Opcode::kBrIfNot:
-    case Opcode::kRet:
-      return false;
-    default:
-      return true;
-  }
-}
-
 bool ReadsA(Opcode op) {
   switch (op) {
     case Opcode::kConstI:
@@ -787,7 +769,6 @@ int CsePass(ir::KernelIR& kernel) {
     }
   }
   CompactCode(kernel, dead);
-  ir::Verify(kernel);
   return hits;
 }
 
@@ -1043,7 +1024,6 @@ int HoistPass(ir::KernelIR& kernel) {
       changed = true;
     }
   }
-  if (hoists > 0) ir::Verify(kernel);
   return hoists;
 }
 

@@ -1,18 +1,24 @@
 // Application-level integration tests: the three paper workloads (MD,
-// KMEANS, BFS) on every execution backend, checked against native references.
+// KMEANS, BFS) on every execution backend, checked against native references,
+// plus golden kernel counts and output digests for every app.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-
 #include <cstdint>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "apps/bfs/bfs.h"
 #include "apps/heat2d/heat2d.h"
 #include "apps/kmeans/kmeans.h"
 #include "apps/lattice/lattice.h"
 #include "apps/md/md.h"
+#include "apps/spmv/spmv.h"
 #include "common/metrics.h"
+#include "common/sha256.h"
 #include "runtime/options.h"
 #include "sim/platform.h"
 
@@ -269,6 +275,202 @@ TEST(Heat2dTest, MeasuredMapperRebalancesWithoutChangingResults) {
   EXPECT_GT(measured_splits.value(), measured_before);
   EXPECT_EQ(measured_u, equal_u);
 }
+
+// ---------------------------------------------------------------------------
+// Golden counts: the exact dynamic cost (instructions, bytes read, bytes
+// written) of every kernel and a digest of the output bytes, pinned per app
+// and GPU count. The kernel engine may change how it charges cost, never
+// what it charges: a drift in the counts moves simulated time, and a drift
+// in the digest is a wrong result. bfs pins its output only, because its
+// racing reads of `visited` make its instruction count follow the race.
+// ---------------------------------------------------------------------------
+
+struct GoldenKernel {
+  std::string name;
+  std::uint64_t instructions = 0;
+  std::uint64_t bytes_read = 0;
+  std::uint64_t bytes_written = 0;
+
+  bool operator==(const GoldenKernel&) const = default;
+};
+
+struct GoldenCase {
+  std::string app;
+  int gpus = 0;
+  std::string output_sha256;
+  std::vector<GoldenKernel> kernels;  ///< empty: counts are not pinned (bfs)
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << c.app << "/" << c.gpus;
+}
+
+template <typename T>
+void HashBytes(Sha256& hash, const std::vector<T>& values) {
+  hash.Update(values.data(), values.size() * sizeof(T));
+}
+
+/// Runs `app` on a 4-GPU supercomputer node using `gpus` of its devices.
+/// Returns the report and fills `sha256` with the digest of its outputs.
+runtime::RunReport RunGoldenApp(const std::string& app, int gpus,
+                                std::string* sha256) {
+  auto platform = sim::MakeSupercomputerNode(4);
+  Sha256 hash;
+  runtime::RunReport report;
+  if (app == "md") {
+    std::vector<float> force;
+    report = apps::RunMdAcc(apps::MakeMdInput(1024, 12), *platform, gpus,
+                            &force);
+    HashBytes(hash, force);
+  } else if (app == "kmeans" || app == "kmeans_o0") {
+    // At opt level 1 the mid-end fuses kmeans' two kernels into one;
+    // kmeans_o0 pins each of them on its own.
+    translator::CompileOptions copts;
+    copts.opt_level = app == "kmeans" ? 1 : 0;
+    apps::KmeansResult result;
+    report = apps::RunKmeansAcc(apps::MakeKmeansInput(1500, 6, 4, 3),
+                                *platform, gpus, &result, {}, copts);
+    HashBytes(hash, result.centroids);
+    HashBytes(hash, result.membership);
+  } else if (app == "heat2d") {
+    std::vector<float> u;
+    report = apps::RunHeat2dAcc(apps::MakeHeat2dInput(48, 20, 4), *platform,
+                                gpus, &u);
+    HashBytes(hash, u);
+  } else if (app == "lattice") {
+    std::vector<float> phi;
+    report = apps::RunLatticeAcc(apps::MakeLatticeInput(48, 20, 4),
+                                 *platform, gpus, &phi);
+    HashBytes(hash, phi);
+  } else if (app == "spmv") {
+    std::vector<float> y;
+    report = apps::RunSpmvAcc(apps::MakeSpmvInput(1200, 9), *platform, gpus,
+                              &y);
+    HashBytes(hash, y);
+  } else if (app == "bfs") {
+    std::vector<std::int32_t> cost;
+    report = apps::RunBfsAcc(apps::MakeBfsInput(1500, 8), *platform, gpus,
+                             &cost);
+    HashBytes(hash, cost);
+  } else {
+    ADD_FAILURE() << "unknown app " << app;
+  }
+  *sha256 = hash.HexDigest();
+  return report;
+}
+
+class GoldenCountsTest : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenCountsTest, KernelStatsAndOutputMatchPinnedValues) {
+  const GoldenCase& expected = GetParam();
+  std::string sha256;
+  const runtime::RunReport report =
+      RunGoldenApp(expected.app, expected.gpus, &sha256);
+  std::vector<GoldenKernel> kernels;
+  for (const auto& [name, stats] : report.kernel_stats) {
+    kernels.push_back(GoldenKernel{name, stats.instructions, stats.bytes_read,
+                                   stats.bytes_written});
+  }
+  // On a mismatch, print the observed values in table form.
+  std::ostringstream observed;
+  observed << "{\"" << expected.app << "\", " << expected.gpus << ", \""
+           << sha256 << "\",\n {";
+  for (const GoldenKernel& k : kernels) {
+    observed << "{\"" << k.name << "\", " << k.instructions << ", "
+             << k.bytes_read << ", " << k.bytes_written << "}, ";
+  }
+  observed << "}},";
+  EXPECT_EQ(sha256, expected.output_sha256) << observed.str();
+  if (!expected.kernels.empty()) {
+    EXPECT_EQ(kernels, expected.kernels) << observed.str();
+  }
+}
+
+const std::vector<GoldenCase>& GoldenCases() {
+  static const std::vector<GoldenCase> cases = {
+      // Captured with the per-instruction switch interpreter, before the
+      // pre-decoded engine replaced it.
+      {"md", 1,
+       "ffcd504728a42c2c794b047b93d54879fe25873a49a5fdc425b0901fd9018dcf",
+       {{"md_kernel0", 698084, 208896, 12288}}},
+      {"md", 2,
+       "ffcd504728a42c2c794b047b93d54879fe25873a49a5fdc425b0901fd9018dcf",
+       {{"md_kernel0", 698084, 208896, 12288}}},
+      {"md", 4,
+       "ffcd504728a42c2c794b047b93d54879fe25873a49a5fdc425b0901fd9018dcf",
+       {{"md_kernel0", 698084, 208896, 12288}}},
+      {"kmeans", 1,
+       "0ff62bee333bce5f5fd00d245069462bcc137985710a08d705446248b0146219",
+       {{"kmeans_kernel0_fused", 3415144, 990000, 18000}}},
+      {"kmeans", 2,
+       "64409bdf8fe61b879ee551cf5ef5555ecdb962e76e2402beec4a19cc7874cbe9",
+       {{"kmeans_kernel0_fused", 3415144, 990000, 18000}}},
+      {"kmeans", 4,
+       "6934c9f6c9f610c69eeabfb996937cb97ab31f2c046d3743f1b957a8736f1438",
+       {{"kmeans_kernel0_fused", 3415144, 990000, 18000}}},
+      {"kmeans_o0", 1,
+       "0ff62bee333bce5f5fd00d245069462bcc137985710a08d705446248b0146219",
+       {{"kmeans_kernel0", 3032644, 864000, 18000},
+        {"kmeans_kernel1", 499500, 126000, 0}}},
+      {"kmeans_o0", 2,
+       "64409bdf8fe61b879ee551cf5ef5555ecdb962e76e2402beec4a19cc7874cbe9",
+       {{"kmeans_kernel0", 3032644, 864000, 18000},
+        {"kmeans_kernel1", 499500, 126000, 0}}},
+      {"kmeans_o0", 4,
+       "6934c9f6c9f610c69eeabfb996937cb97ab31f2c046d3743f1b957a8736f1438",
+       {{"kmeans_kernel0", 3032644, 864000, 18000},
+        {"kmeans_kernel1", 499500, 126000, 0}}},
+      {"heat2d", 1,
+       "1f3a8f1163a08a6e8421e60509228f4c4cb210f79885c165d8609b4702032a74",
+       {{"heat2d_kernel0", 271392, 76800, 15360},
+        {"heat2d_kernel1", 50880, 15360, 15360}}},
+      {"heat2d", 2,
+       "1f3a8f1163a08a6e8421e60509228f4c4cb210f79885c165d8609b4702032a74",
+       {{"heat2d_kernel0", 271392, 76800, 15360},
+        {"heat2d_kernel1", 50880, 15360, 15360}}},
+      {"heat2d", 4,
+       "1f3a8f1163a08a6e8421e60509228f4c4cb210f79885c165d8609b4702032a74",
+       {{"heat2d_kernel0", 271392, 76800, 15360},
+        {"heat2d_kernel1", 50880, 15360, 15360}}},
+      {"lattice", 1,
+       "f1b2e1f48984fcbdd4a7e4f6e92841dd2802d6da3a1de3f4b598801f9a8963a3",
+       {{"lattice_kernel0", 332832, 76800, 15360},
+        {"lattice_kernel1", 50880, 15360, 15360}}},
+      {"lattice", 2,
+       "f1b2e1f48984fcbdd4a7e4f6e92841dd2802d6da3a1de3f4b598801f9a8963a3",
+       {{"lattice_kernel0", 332832, 76800, 15360},
+        {"lattice_kernel1", 50880, 15360, 15360}}},
+      {"lattice", 4,
+       "f1b2e1f48984fcbdd4a7e4f6e92841dd2802d6da3a1de3f4b598801f9a8963a3",
+       {{"lattice_kernel0", 332832, 76800, 15360},
+        {"lattice_kernel1", 50880, 15360, 15360}}},
+      {"spmv", 1,
+       "6f8e703ace360741229b6857858f98415322011d39e59803332c0ed292c4aa21",
+       {{"spmv_kernel0", 214800, 129600, 4800}}},
+      {"spmv", 2,
+       "6f8e703ace360741229b6857858f98415322011d39e59803332c0ed292c4aa21",
+       {{"spmv_kernel0", 214800, 129600, 4800}}},
+      {"spmv", 4,
+       "6f8e703ace360741229b6857858f98415322011d39e59803332c0ed292c4aa21",
+       {{"spmv_kernel0", 214800, 129600, 4800}}},
+      {"bfs", 1,
+       "8945b7effe7b6398c369e042b2c6cf789e343505c9fa9bbecfa0262043c7738b",
+       {}},
+      {"bfs", 2,
+       "8945b7effe7b6398c369e042b2c6cf789e343505c9fa9bbecfa0262043c7738b",
+       {}},
+      {"bfs", 4,
+       "8945b7effe7b6398c369e042b2c6cf789e343505c9fa9bbecfa0262043c7738b",
+       {}},
+  };
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, GoldenCountsTest, ::testing::ValuesIn(GoldenCases()),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return info.param.app + "_" + std::to_string(info.param.gpus) + "gpu";
+    });
 
 }  // namespace
 }  // namespace accmg

@@ -3,6 +3,7 @@
 // write-miss spilling, dirty bits and privatized reductions).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -20,7 +21,8 @@ double RunScalarKernel(
     const KernelIR& kernel, std::int64_t tid,
     const std::function<void(KernelExec&)>& configure,
     const std::function<double(const KernelExec&)>& extract) {
-  KernelExec exec(kernel);
+  const DecodedKernel decoded(kernel);
+  KernelExec exec(decoded);
   configure(exec);
   exec.ResetOutputs();
   sim::KernelStats stats;
@@ -156,7 +158,8 @@ TEST(InterpTest, DivisionByZeroFaults) {
   KernelBuilder builder("k");
   builder.Binary(Opcode::kDivI, builder.ConstI(1), builder.ConstI(0));
   const KernelIR kernel = builder.Build();
-  KernelExec exec(kernel);
+  const DecodedKernel decoded(kernel);
+  KernelExec exec(decoded);
   exec.ResetOutputs();
   sim::KernelStats stats;
   EXPECT_THROW(exec.Execute(0, 1, stats), DeviceError);
@@ -279,10 +282,18 @@ TEST(InterpTest, RunawayLoopHitsBudget) {
   const std::size_t br = builder.Br();
   builder.PatchTarget(br, 0);
   const KernelIR kernel = builder.Build();
-  KernelExec exec(kernel);
+  const DecodedKernel decoded(kernel);
+  KernelExec exec(decoded);
   exec.ResetOutputs();
   sim::KernelStats stats;
-  EXPECT_THROW(exec.Execute(0, 1, stats), DeviceError);
+  try {
+    exec.Execute(0, 1, stats);
+    ADD_FAILURE() << "runaway loop did not fault";
+  } catch (const DeviceError& error) {
+    EXPECT_STREQ(error.what(),
+                 "kernel 'spin': per-thread instruction budget exceeded "
+                 "(runaway loop?)");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -319,7 +330,9 @@ TEST(InterpTest, LoadStoreUseGlobalIndicesWithSegmentOffset) {
   builder.Store(arr, out_idx, builder.Unary(Opcode::kRoundF32, doubled));
   const KernelIR kernel = builder.Build();
 
-  KernelExec exec(kernel);
+  const DecodedKernel decoded(kernel);
+
+  KernelExec exec(decoded);
   exec.bindings[0] = fixture.binding;
   exec.ResetOutputs();
   sim::KernelStats stats;
@@ -335,7 +348,8 @@ TEST(InterpTest, NonResidentReadFaults) {
   const int arr = builder.AddArray("a", ValType::kF32);
   builder.Load(arr, builder.ConstI(99));
   const KernelIR kernel = builder.Build();
-  KernelExec exec(kernel);
+  const DecodedKernel decoded(kernel);
+  KernelExec exec(decoded);
   exec.bindings[0] = fixture.binding;
   exec.ResetOutputs();
   sim::KernelStats stats;
@@ -349,7 +363,8 @@ TEST(InterpTest, NonOwnedWriteWithoutMissBufferFaults) {
   const int arr = builder.AddArray("a", ValType::kF32);
   builder.Store(arr, builder.ConstI(107), builder.ConstF(1.0));
   const KernelIR kernel = builder.Build();
-  KernelExec exec(kernel);
+  const DecodedKernel decoded(kernel);
+  KernelExec exec(decoded);
   exec.bindings[0] = fixture.binding;
   exec.ResetOutputs();
   sim::KernelStats stats;
@@ -367,7 +382,8 @@ TEST(InterpTest, WriteMissSpillsRecord) {
   builder.Store(arr, builder.ConstI(107), builder.ConstF(3.5));
   builder.Store(arr, builder.ConstI(102), builder.ConstF(1.5));  // local
   const KernelIR kernel = builder.Build();
-  KernelExec exec(kernel);
+  const DecodedKernel decoded(kernel);
+  KernelExec exec(decoded);
   exec.bindings[0] = fixture.binding;
   exec.ResetOutputs();
   sim::KernelStats stats;
@@ -395,7 +411,8 @@ TEST(InterpTest, DirtyMarkSetsBothLevels) {
   builder.Store(arr, idx, builder.ConstF(1.0));
   builder.DirtyMark(arr, idx);
   const KernelIR kernel = builder.Build();
-  KernelExec exec(kernel);
+  const DecodedKernel decoded(kernel);
+  KernelExec exec(decoded);
   exec.bindings[0] = fixture.binding;
   exec.ResetOutputs();
   sim::KernelStats stats;
@@ -446,7 +463,8 @@ TEST(ReductionTest, ScalarReductionAccumulatesAcrossThreads) {
   const int slot = builder.AddScalarReduction("out", RedOp::kAdd, ValType::kI64);
   builder.RedScalar(slot, builder.thread_id_reg());
   const KernelIR kernel = builder.Build();
-  KernelExec exec(kernel);
+  const DecodedKernel decoded(kernel);
+  KernelExec exec(decoded);
   exec.ResetOutputs();
   sim::KernelStats stats;
   exec.Execute(0, 100, stats);
@@ -464,7 +482,9 @@ TEST(ReductionTest, ArrayReductionProducesDensePartial) {
   builder.RedArray(slot, bucket, builder.ConstI(1));
   const KernelIR kernel = builder.Build();
 
-  KernelExec exec(kernel);
+  const DecodedKernel decoded(kernel);
+
+  KernelExec exec(decoded);
   exec.array_red_lower[0] = 0;
   exec.array_red_length[0] = 4;
   exec.ResetOutputs();
@@ -484,7 +504,8 @@ TEST(ReductionTest, ArrayReductionOutOfSectionFaults) {
   const int slot = builder.AddArrayReduction(arr, RedOp::kAdd, ValType::kI32);
   builder.RedArray(slot, builder.ConstI(9), builder.ConstI(1));
   const KernelIR kernel = builder.Build();
-  KernelExec exec(kernel);
+  const DecodedKernel decoded(kernel);
+  KernelExec exec(decoded);
   exec.array_red_lower[0] = 0;
   exec.array_red_length[0] = 4;
   exec.ResetOutputs();
@@ -502,13 +523,163 @@ TEST(InterpTest, TranscendentalsCostMore) {
   const KernelIR pricey_k = pricey.Build();
 
   sim::KernelStats cheap_stats, pricey_stats;
-  KernelExec cheap_exec(cheap_k);
+  const DecodedKernel cheap_decoded(cheap_k);
+  KernelExec cheap_exec(cheap_decoded);
   cheap_exec.ResetOutputs();
   cheap_exec.Execute(0, 1, cheap_stats);
-  KernelExec pricey_exec(pricey_k);
+  const DecodedKernel pricey_decoded(pricey_k);
+  KernelExec pricey_exec(pricey_decoded);
   pricey_exec.ResetOutputs();
   pricey_exec.Execute(0, 1, pricey_stats);
   EXPECT_GT(pricey_stats.instructions, cheap_stats.instructions);
+}
+
+// ---------------------------------------------------------------------------
+// Decoded engine: block boundaries, fused pairs and hoisted scalars
+// ---------------------------------------------------------------------------
+
+bool HasOp(const DecodedKernel& decoded, DecodedOpKind kind) {
+  for (const DecodedOp& op : decoded.ops()) {
+    if (op.kind == kind) return true;
+  }
+  return false;
+}
+
+double F64(std::uint64_t raw) { return std::bit_cast<double>(raw); }
+
+// Scalar registers are loaded once per chunk only when no instruction
+// writes them. A kernel that overwrites its scalar must still show every
+// thread the launch value.
+TEST(EngineTest, OverwrittenScalarReloadsForEveryThread) {
+  KernelBuilder builder("clobber");
+  const int n = builder.AddScalar("n", ValType::kI64);
+  const int slot =
+      builder.AddScalarReduction("out", RedOp::kAdd, ValType::kI64);
+  builder.RedScalar(slot, n);
+  builder.MovTo(n, builder.ConstI(1000));
+  const KernelIR kernel = builder.Build();
+  const DecodedKernel decoded(kernel);
+  KernelExec exec(decoded);
+  exec.scalar_values[0] = EncodeScalar(ValType::kI64, 0, 7);
+  exec.ResetOutputs();
+  sim::KernelStats stats;
+  exec.Execute(0, 3, stats);
+  EXPECT_EQ(static_cast<std::int64_t>(exec.scalar_red_results()[0]), 21);
+}
+
+// add.f r3 = r1 + r2; round.f32 r1 = r3: the pair fuses, and the round's
+// destination is an operand of the add. The fused op computes from the
+// operands before it writes either destination.
+TEST(EngineTest, FusedPairWritesBothRegistersWhenTheyAliasAnOperand) {
+  KernelBuilder builder("alias");
+  const int wide = builder.AddScalarReduction("wide", RedOp::kAdd,
+                                              ValType::kF64);
+  const int narrow = builder.AddScalarReduction("narrow", RedOp::kAdd,
+                                                ValType::kF64);
+  const int x = builder.ConstF(0.1);
+  const int y = builder.ConstF(0.2);
+  const int sum = builder.Binary(Opcode::kAddF, x, y);
+  const std::size_t round_pc = builder.Here();
+  builder.Unary(Opcode::kRoundF32, sum);
+  builder.RedScalar(wide, sum);
+  builder.RedScalar(narrow, x);
+  KernelIR kernel = builder.Build();
+  kernel.code[round_pc].dst = x;  // round.f32 writes the add's lhs
+  const DecodedKernel decoded(kernel);
+  EXPECT_TRUE(HasOp(decoded, DecodedOpKind::kAddFRound));
+  KernelExec exec(decoded);
+  exec.ResetOutputs();
+  sim::KernelStats stats;
+  exec.Execute(0, 1, stats);
+  EXPECT_EQ(F64(exec.scalar_red_results()[0]), 0.1 + 0.2);
+  EXPECT_EQ(F64(exec.scalar_red_results()[1]),
+            static_cast<double>(static_cast<float>(0.1 + 0.2)));
+  EXPECT_EQ(stats.instructions, 7u);  // 2 const, add, round, 2 red, ret
+}
+
+// A branch into the second instruction of a would-be pair makes it a block
+// leader, so the pair is not fused: thread 1 jumps straight to the round
+// and must round the value it set, not recompute the add.
+TEST(EngineTest, BranchIntoPairPreventsFusion) {
+  KernelBuilder builder("split");
+  const int slot =
+      builder.AddScalarReduction("out", RedOp::kAdd, ValType::kF64);
+  const int value = builder.NewReg();
+  builder.MovTo(value, builder.ConstF(2.5));
+  const std::size_t br = builder.BrIf(builder.thread_id_reg());
+  const std::size_t add_pc = builder.Here();
+  builder.Binary(Opcode::kAddF, builder.ConstF(0.1), builder.ConstF(0.2));
+  const std::size_t round_at = builder.Here();
+  const int rounded = builder.Unary(Opcode::kRoundF32, value);
+  builder.PatchTarget(br, round_at);
+  builder.RedScalar(slot, rounded);
+  KernelIR kernel = builder.Build();
+  // Make the add write `value`, so add and round form a fusible pair.
+  for (std::size_t pc = add_pc; pc < round_at; ++pc) {
+    if (kernel.code[pc].op == Opcode::kAddF) {
+      ASSERT_EQ(pc + 1, round_at);
+      kernel.code[pc].dst = value;
+    }
+  }
+  const DecodedKernel decoded(kernel);
+  ASSERT_FALSE(HasOp(decoded, DecodedOpKind::kAddFRound));
+  KernelExec exec(decoded);
+  exec.ResetOutputs();
+  sim::KernelStats stats;
+  exec.Execute(0, 2, stats);  // thread 0 falls through, thread 1 branches
+  EXPECT_EQ(F64(exec.scalar_red_results()[0]),
+            static_cast<double>(static_cast<float>(0.1 + 0.2)) + 2.5);
+}
+
+// kDirtyMark bytes stay dynamic: a mark outside the resident range charges
+// nothing, one inside charges its two dirty bytes.
+TEST(EngineTest, OutOfRangeDirtyMarkChargesNoBytes) {
+  ArrayFixture fixture(0, 100, 100);
+  std::vector<std::uint8_t> level1(100, 0), level2(4, 0);
+  fixture.binding.dirty.level1 = level1.data();
+  fixture.binding.dirty.level2 = level2.data();
+  fixture.binding.dirty.chunk_elems = 32;
+
+  auto run = [&](std::int64_t index) {
+    KernelBuilder builder("mark");
+    const int arr = builder.AddArray("a", ValType::kF32);
+    builder.DirtyMark(arr, builder.ConstI(index));
+    const KernelIR kernel = builder.Build();
+    const DecodedKernel decoded(kernel);
+    KernelExec exec(decoded);
+    exec.bindings[0] = fixture.binding;
+    exec.ResetOutputs();
+    sim::KernelStats stats;
+    exec.Execute(0, 1, stats);
+    return stats;
+  };
+  const sim::KernelStats outside = run(500);
+  EXPECT_EQ(outside.bytes_written, 0u);
+  EXPECT_EQ(outside.instructions, 3u);
+  EXPECT_EQ(std::count(level1.begin(), level1.end(), 1), 0);
+  const sim::KernelStats inside = run(70);
+  EXPECT_EQ(inside.bytes_written, 2u);
+  EXPECT_EQ(level1[70], 1);
+}
+
+TEST(EngineTest, DecodingVerifiesTheKernel) {
+  KernelIR kernel;
+  kernel.name = "bad";
+  kernel.num_regs = 2;
+  Instr in;
+  in.op = Opcode::kMov;
+  in.dst = 5;  // out of range
+  in.a = 0;
+  kernel.code.push_back(in);
+  Instr ret;
+  ret.op = Opcode::kRet;
+  kernel.code.push_back(ret);
+  EXPECT_THROW(DecodedKernel{kernel}, InternalError);
+}
+
+TEST(EngineTest, UndecodedKernelIsRefused) {
+  const DecodedKernel empty;
+  EXPECT_THROW(KernelExec{empty}, InternalError);
 }
 
 }  // namespace
