@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "apps/md/md.h"
 #include "frontend/parser.h"
@@ -168,6 +170,46 @@ void f(int n, float* a, float* b) {
   }
 }
 BENCHMARK(BM_TranslateToIr);
+
+/// `loops` adjacent same-thread loops with 16-temporary bodies, all fusible
+/// into one offload (the shape of perfbench's cold-compile fusible chains).
+std::string FusibleChainSource(int loops) {
+  std::ostringstream os;
+  os << "void chain(int n, float* a, float* b) {\n";
+  for (int k = 0; k < loops; ++k) {
+    os << "  #pragma acc localaccess(a: stride(1)) (b: stride(1))\n"
+       << "  #pragma acc parallel loop\n"
+       << "  for (int i = 0; i < n; i++) {\n"
+       << "    float t0 = a[i] * 0.75f + b[i] + " << k << ".0f;\n";
+    for (int s = 1; s <= 16; ++s) {
+      os << "    float t" << s << " = t" << s - 1 << " * 1.0625f - b[i] * "
+         << s << ".5f + " << s << ".25f;\n";
+    }
+    os << "    a[i] = t16 * 0.125f + t8 * 0.25f + t0 * 0.5f;\n  }\n";
+  }
+  os << "}\n";
+  return os.str();
+}
+
+/// Source-to-IR compile at opt level 1: frontend, translation, and the
+/// mid-end's fusion and CSE over a chain of `range(0)` loops. Time per loop
+/// should stay flat as the chain grows.
+void BM_CompileFusibleChain(benchmark::State& state) {
+  const std::string source =
+      FusibleChainSource(static_cast<int>(state.range(0)));
+  translator::CompileOptions options;
+  options.opt_level = 1;
+  for (auto _ : state) {
+    frontend::SourceBuffer buffer("chain.c", source);
+    auto program = frontend::ParseAndAnalyze(buffer);
+    translator::CompiledProgram compiled =
+        translator::Compile(*program, options);
+    benchmark::DoNotOptimize(compiled.functions[0].offloads.size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CompileFusibleChain)->Arg(12)->Arg(48)->Arg(96)
+    ->Unit(benchmark::kMillisecond);
 
 // --- simulated clock ----------------------------------------------------------
 

@@ -4,10 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -238,8 +235,10 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 }
 
 /// Checks every fusion precondition for adjacent offloads `a` (first) and
-/// `b` (second). On success fills `merged` (everything except the kernel,
-/// which the caller re-lowers).
+/// `b` (second). On success fills `merged` with everything except the
+/// constituent list and the kernel, which the caller sets and lowers once
+/// per run. `a` may itself be a planned merge: every check reads only
+/// analysis facts, and Lower() reassigns every index and slot copied here.
 bool PlanFusion(const LoopOffload& a, const LoopOffload& b,
                 LoopOffload* merged) {
   // Host-position-sensitive directives pin a loop in place.
@@ -397,17 +396,6 @@ bool PlanFusion(const LoopOffload& a, const LoopOffload& b,
   merged->upper_bound = a.upper_bound;
   merged->upper_inclusive = a.upper_inclusive;
 
-  if (a.fused.empty()) {
-    merged->fused.push_back({a.loop, a.induction});
-  } else {
-    merged->fused = a.fused;
-  }
-  if (b.fused.empty()) {
-    merged->fused.push_back({b.loop, b.induction});
-  } else {
-    merged->fused.insert(merged->fused.end(), b.fused.begin(), b.fused.end());
-  }
-
   merged->scalars = a.scalars;
   for (const auto& s : b.scalars) {
     bool present = false;
@@ -438,80 +426,97 @@ bool PlanFusion(const LoopOffload& a, const LoopOffload& b,
 // Fusion driver
 // ---------------------------------------------------------------------------
 
-bool TryFuse(CompiledFunction& fn, int ia, int ib, OptStats* stats) {
-  LoopOffload merged;
-  if (!PlanFusion(fn.offloads[ia], fn.offloads[ib], &merged)) {
-    ++stats->bailouts;
-    return false;
+/// Lowers the planned merge of the offloads at `members` (indexes into
+/// `fn.offloads`, in source order) and installs it in place of the first.
+/// Returns false, leaving the run unfused, if lowering throws.
+bool LowerRun(CompiledFunction& fn, const std::vector<int>& members,
+              LoopOffload& merged) {
+  for (const int m : members) {
+    const LoopOffload& part = fn.offloads[static_cast<std::size_t>(m)];
+    merged.fused.push_back({part.loop, part.induction});
   }
   try {
     KernelLowering lowering(merged);
     lowering.Lower();
   } catch (const Error&) {
-    // Re-lowering the concatenated bodies should always succeed (both sides
-    // lowered individually); if it does not, refuse the fusion rather than
-    // fail the compile.
-    ++stats->bailouts;
+    // Lowering the concatenated bodies should always succeed (each part
+    // lowered on its own); if it does not, refuse the run rather than fail
+    // the compile.
     return false;
   }
-  {
-    trace::Span span("fuse:" + fn.offloads[ia].name + "+" +
-                         fn.offloads[ib].name,
-                     trace::category::kCompile);
-  }
-  fn.fused_away.insert(fn.offloads[ib].loop);
-  fn.offloads[ia] = std::move(merged);
-  fn.offloads.erase(fn.offloads.begin() + ib);
-  fn.offload_of_stmt.clear();
-  for (std::size_t i = 0; i < fn.offloads.size(); ++i) {
-    fn.offloads[i].id = static_cast<int>(i);
-    fn.offload_of_stmt[fn.offloads[i].loop] = static_cast<int>(i);
-  }
-  ++stats->fusions;
+  fn.offloads[static_cast<std::size_t>(members[0])] = std::move(merged);
   return true;
 }
 
+/// One left-to-right pass per compound statement: each maximal run of
+/// adjacent offloads is grown by planning one more loop onto the merge so
+/// far, then lowered once. A refused boundary is final: PlanFusion is
+/// monotone in its right side (a loop that later absorbs its successors
+/// only gains accesses, names and wider windows), so the refused loop
+/// starts the next run and the refusal is counted once.
 void FuseAdjacentOffloads(CompiledFunction& fn, OptStats* stats) {
   std::vector<const CompoundStmt*> compounds;
   CollectCompounds(*fn.function->body, &compounds);
-  // Pairs already refused this run; cleared for a statement whose offload
-  // changes (its successor was fused into it, making a new pair).
-  std::set<std::pair<const Stmt*, const Stmt*>> refused;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const CompoundStmt* compound : compounds) {
-      for (std::size_t i = 0; i < compound->body.size() && !changed; ++i) {
-        const Stmt* s1 = compound->body[i].get();
-        auto it1 = fn.offload_of_stmt.find(s1);
-        if (it1 == fn.offload_of_stmt.end()) continue;
-        // Loops already folded into s1 sit between it and the next live
-        // offload; they are no-ops, so adjacency skips over them.
-        std::size_t j = i + 1;
-        while (j < compound->body.size() &&
-               fn.fused_away.count(compound->body[j].get()) != 0) {
-          ++j;
-        }
-        if (j >= compound->body.size()) continue;
-        const Stmt* s2 = compound->body[j].get();
-        auto it2 = fn.offload_of_stmt.find(s2);
-        if (it2 == fn.offload_of_stmt.end()) continue;
-        if (refused.count({s1, s2}) != 0) continue;
-        if (TryFuse(fn, it1->second, it2->second, stats)) {
-          changed = true;
-          for (auto it = refused.begin(); it != refused.end();) {
-            if (it->first == s1 || it->second == s1) {
-              it = refused.erase(it);
-            } else {
-              ++it;
-            }
-          }
-        } else {
-          refused.insert({s1, s2});
-        }
+  std::vector<char> absorbed(fn.offloads.size(), 0);
+  bool any = false;
+  for (const CompoundStmt* compound : compounds) {
+    const auto& body = compound->body;
+    std::size_t i = 0;
+    while (i < body.size()) {
+      auto head = fn.offload_of_stmt.find(body[i].get());
+      if (head == fn.offload_of_stmt.end()) {
+        ++i;
+        continue;
       }
-      if (changed) break;
+      std::vector<int> members = {head->second};
+      LoopOffload merged;
+      std::size_t j = i + 1;
+      for (; j < body.size(); ++j) {
+        auto next = fn.offload_of_stmt.find(body[j].get());
+        if (next == fn.offload_of_stmt.end()) break;
+        const LoopOffload& left =
+            members.size() == 1
+                ? fn.offloads[static_cast<std::size_t>(members[0])]
+                : merged;
+        const LoopOffload& right =
+            fn.offloads[static_cast<std::size_t>(next->second)];
+        LoopOffload grown;
+        if (!PlanFusion(left, right, &grown)) {
+          ++stats->bailouts;
+          break;
+        }
+        merged = std::move(grown);
+        members.push_back(next->second);
+      }
+      i = j;
+      if (members.size() < 2) continue;
+      const int planned = static_cast<int>(members.size()) - 1;
+      if (!LowerRun(fn, members, merged)) {
+        stats->bailouts += planned;
+        continue;
+      }
+      stats->fusions += planned;
+      for (std::size_t k = 1; k < members.size(); ++k) {
+        const auto m = static_cast<std::size_t>(members[k]);
+        fn.fused_away.insert(fn.offloads[m].loop);
+        absorbed[m] = 1;
+      }
+      any = true;
     }
+  }
+  if (!any) return;
+
+  std::size_t kept = 0;
+  for (std::size_t m = 0; m < fn.offloads.size(); ++m) {
+    if (absorbed[m]) continue;
+    if (kept != m) fn.offloads[kept] = std::move(fn.offloads[m]);
+    ++kept;
+  }
+  fn.offloads.resize(kept);
+  fn.offload_of_stmt.clear();
+  for (std::size_t m = 0; m < fn.offloads.size(); ++m) {
+    fn.offloads[m].id = static_cast<int>(m);
+    fn.offload_of_stmt[fn.offloads[m].loop] = static_cast<int>(m);
   }
 }
 
@@ -595,6 +600,34 @@ int RedArrayTarget(const ir::KernelIR& kernel, const ir::Instr& in) {
   return -1;
 }
 
+/// Value-numbering key of one computation: opcode, operand values, and
+/// the immediate (constants) or array and store epoch (loads).
+struct ValueKey {
+  Opcode op{};
+  int arr = -1;
+  std::int64_t va = 0;
+  std::int64_t vb = 0;
+  std::int64_t imm1 = 0;
+  std::int64_t imm2 = 0;
+
+  bool operator==(const ValueKey& o) const {
+    return op == o.op && arr == o.arr && va == o.va && vb == o.vb &&
+           imm1 == o.imm1 && imm2 == o.imm2;
+  }
+};
+
+struct ValueKeyHash {
+  std::size_t operator()(const ValueKey& k) const {
+    std::uint64_t h = (static_cast<std::uint64_t>(k.op) << 32) ^
+                      static_cast<std::uint32_t>(k.arr);
+    for (const std::int64_t x : {k.va, k.vb, k.imm1, k.imm2}) {
+      h ^= static_cast<std::uint64_t>(x) + 0x9E3779B97F4A7C15ULL + (h << 6) +
+           (h >> 2);
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
 /// Removes instructions marked dead and remaps branch targets. A deleted
 /// instruction is always pure fall-through, so a target pointing at one is
 /// redirected to the next surviving instruction.
@@ -641,39 +674,63 @@ int CsePass(ir::KernelIR& kernel) {
     }
   }
 
-  using Key = std::tuple<int, std::int64_t, std::int64_t, int, std::int64_t,
-                         std::int64_t>;
+  // Per-block local value numbering. Unwritten registers carry the opaque
+  // value -(reg+1); computed values are numbered 1, 2, ... per block. `rep`
+  // maps a value to a register currently holding it, used both to rewrite
+  // operands and to satisfy repeat computations; `held` is its reverse
+  // index (0 = none), exact because a register represents at most one
+  // value. Both are dense: opaque values take slots [0, num_regs) and
+  // computed values the slots after, of which a block uses at most one per
+  // instruction. Only registers written in a block are reset after it.
+  const auto num_regs = static_cast<std::size_t>(kernel.num_regs);
+  const auto opaque = [](std::size_t r) {
+    return -static_cast<std::int64_t>(r) - 1;
+  };
+  const auto slot = [num_regs](std::int64_t v) {
+    return v < 0 ? static_cast<std::size_t>(-v - 1)
+                 : num_regs + static_cast<std::size_t>(v - 1);
+  };
+  std::vector<std::int64_t> regval(num_regs);
+  for (std::size_t r = 0; r < num_regs; ++r) regval[r] = opaque(r);
+  std::vector<int> rep(num_regs + code.size(), -1);
+  std::vector<std::int64_t> held(num_regs, 0);
+  std::vector<std::size_t> written;
+  // Store epochs only ever grow, so keys from an earlier block (whose table
+  // is gone) can never be confused with this block's.
+  std::vector<std::int64_t> epoch(kernel.arrays.size(), 0);
+
+  const auto invalidate_reg = [&](std::size_t r) {
+    if (held[r] != 0) {
+      rep[slot(held[r])] = -1;
+      held[r] = 0;
+    }
+  };
+  // Gives `dst` the value `v`. A newly numbered value is always held by
+  // its defining register; a copy of an existing value becomes its holder
+  // only when no other register holds it.
+  const auto define = [&](int dst, std::int64_t v, bool claim) {
+    const auto d = static_cast<std::size_t>(dst);
+    invalidate_reg(d);
+    regval[d] = v;
+    written.push_back(d);
+    int& holder = rep[slot(v)];
+    if (claim || holder < 0) {
+      holder = dst;
+      held[d] = v;
+    }
+  };
+  const auto canon = [&](int r) {
+    const int holder = rep[slot(regval[static_cast<std::size_t>(r)])];
+    return holder >= 0 ? holder : r;
+  };
+
   std::size_t start = 0;
   while (start < code.size()) {
     std::size_t end = start + 1;
     while (end < code.size() && !leader[end]) ++end;
 
-    // Per-block local value numbering. Unwritten registers carry the opaque
-    // value -(reg+1); `rep` maps a value id to a register currently holding
-    // it, used both to rewrite operands and to satisfy repeat computations.
-    std::vector<std::int64_t> regval(static_cast<std::size_t>(kernel.num_regs));
-    for (int r = 0; r < kernel.num_regs; ++r) {
-      regval[static_cast<std::size_t>(r)] = -static_cast<std::int64_t>(r) - 1;
-    }
-    std::map<std::int64_t, int> rep;
-    std::map<Key, std::int64_t> table;
-    std::vector<std::int64_t> epoch(kernel.arrays.size(), 0);
+    std::unordered_map<ValueKey, std::int64_t, ValueKeyHash> table;
     std::int64_t next_value = 1;
-
-    auto invalidate_reg = [&](int r) {
-      for (auto it = rep.begin(); it != rep.end();) {
-        if (it->second == r) {
-          it = rep.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    };
-    auto canon = [&](int r) {
-      auto it = rep.find(regval[static_cast<std::size_t>(r)]);
-      return it != rep.end() ? it->second : r;
-    };
-
     for (std::size_t p = start; p < end; ++p) {
       auto& in = code[p];
       if (ReadsA(in.op) && in.a >= 0) in.a = canon(in.a);
@@ -690,82 +747,93 @@ int CsePass(ir::KernelIR& kernel) {
       if (!ProducesValue(in.op) || in.dst < 0) continue;
 
       if (in.op == Opcode::kMov) {
-        const std::int64_t v = regval[static_cast<std::size_t>(in.a)];
-        invalidate_reg(in.dst);
-        regval[static_cast<std::size_t>(in.dst)] = v;
-        rep.emplace(v, in.dst);
+        define(in.dst, regval[static_cast<std::size_t>(in.a)], false);
         continue;
       }
 
-      std::int64_t va =
-          (ReadsA(in.op) && in.a >= 0) ? regval[static_cast<std::size_t>(in.a)]
-                                       : 0;
-      std::int64_t vb =
-          (ReadsB(in.op) && in.b >= 0) ? regval[static_cast<std::size_t>(in.b)]
-                                       : 0;
-      std::int64_t imm1 = 0;
-      std::int64_t imm2 = 0;
-      int arr = -1;
+      ValueKey key;
+      key.op = in.op;
+      key.va = (ReadsA(in.op) && in.a >= 0)
+                   ? regval[static_cast<std::size_t>(in.a)]
+                   : 0;
+      key.vb = (ReadsB(in.op) && in.b >= 0)
+                   ? regval[static_cast<std::size_t>(in.b)]
+                   : 0;
       if (in.op == Opcode::kConstI) {
-        imm1 = in.imm.i;
+        key.imm1 = in.imm.i;
       } else if (in.op == Opcode::kConstF) {
-        std::memcpy(&imm1, &in.imm.f, sizeof(imm1));
+        std::memcpy(&key.imm1, &in.imm.f, sizeof(key.imm1));
       } else if (in.op == Opcode::kLoad) {
-        arr = in.arr;
-        imm2 = epoch[static_cast<std::size_t>(arr)];
+        key.arr = in.arr;
+        key.imm2 = epoch[static_cast<std::size_t>(in.arr)];
       }
-      if (CommutesExactly(in.op) && va > vb) std::swap(va, vb);
-      const Key key{static_cast<int>(in.op), va, vb, arr, imm1, imm2};
+      if (CommutesExactly(in.op) && key.va > key.vb) std::swap(key.va, key.vb);
 
-      auto it = table.find(key);
-      auto rep_it = it != table.end() ? rep.find(it->second) : rep.end();
-      if (it != table.end() && rep_it != rep.end()) {
-        const std::int64_t v = it->second;
-        const int src = rep_it->second;
+      auto [it, inserted] = table.try_emplace(key, 0);
+      const int src = inserted ? -1 : rep[slot(it->second)];
+      if (src >= 0) {
         in.op = Opcode::kMov;
         in.a = src;
         in.b = -1;
         in.arr = -1;
         in.imm.i = 0;
-        invalidate_reg(in.dst);
-        regval[static_cast<std::size_t>(in.dst)] = v;
-        rep.emplace(v, in.dst);
+        define(in.dst, it->second, false);
         ++hits;
       } else {
-        const std::int64_t v = next_value++;
-        table[key] = v;
-        invalidate_reg(in.dst);
-        regval[static_cast<std::size_t>(in.dst)] = v;
-        rep[v] = in.dst;
+        it->second = next_value++;
+        define(in.dst, it->second, true);
       }
     }
+    for (const std::size_t r : written) {
+      regval[r] = opaque(r);
+      invalidate_reg(r);
+    }
+    written.clear();
     start = end;
   }
 
   // Global dead-code sweep: delete pure instructions whose result no
   // surviving instruction reads (most of the kMov placeholders above become
-  // dead once their uses were rewritten to the canonical register).
+  // dead once their uses were rewritten to the canonical register). Each
+  // register keeps a count of live reads; when it drops to zero, every
+  // definition of the register dies and releases its own operands, which
+  // reaches the same fix point as rescanning until nothing changes.
   std::vector<char> dead(code.size(), 0);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::vector<char> read(static_cast<std::size_t>(kernel.num_regs), 0);
-    for (std::size_t p = 0; p < code.size(); ++p) {
-      if (dead[p]) continue;
-      const auto& in = code[p];
-      if (in.op == Opcode::kMov && in.a == in.dst) continue;  // self-copy
-      if (ReadsA(in.op) && in.a >= 0) read[static_cast<std::size_t>(in.a)] = 1;
-      if (ReadsB(in.op) && in.b >= 0) read[static_cast<std::size_t>(in.b)] = 1;
+  std::vector<int> reads(num_regs, 0);
+  std::vector<int> first_def(num_regs, -1);
+  std::vector<int> next_def(code.size(), -1);
+  const auto for_each_read = [&](const ir::Instr& in, auto&& f) {
+    if (ReadsA(in.op) && in.a >= 0) f(static_cast<std::size_t>(in.a));
+    if (ReadsB(in.op) && in.b >= 0) f(static_cast<std::size_t>(in.b));
+  };
+  for (std::size_t p = 0; p < code.size(); ++p) {
+    const auto& in = code[p];
+    const bool defines = ProducesValue(in.op) && in.dst >= 0;
+    if (defines && in.op == Opcode::kMov && in.a == in.dst) {
+      dead[p] = 1;  // a self-copy neither defines nor reads anything new
+      continue;
     }
-    for (std::size_t p = 0; p < code.size(); ++p) {
-      if (dead[p]) continue;
-      const auto& in = code[p];
-      if (!ProducesValue(in.op) || in.dst < 0) continue;
-      const bool self_copy = in.op == Opcode::kMov && in.a == in.dst;
-      if (self_copy || !read[static_cast<std::size_t>(in.dst)]) {
-        dead[p] = 1;
-        changed = true;
-      }
+    for_each_read(in, [&](std::size_t r) { ++reads[r]; });
+    if (defines) {
+      const auto d = static_cast<std::size_t>(in.dst);
+      next_def[p] = first_def[d];
+      first_def[d] = static_cast<int>(p);
+    }
+  }
+  std::vector<std::size_t> unread;
+  for (std::size_t r = 0; r < num_regs; ++r) {
+    if (reads[r] == 0 && first_def[r] >= 0) unread.push_back(r);
+  }
+  while (!unread.empty()) {
+    const std::size_t r = unread.back();
+    unread.pop_back();
+    for (int p = first_def[r]; p >= 0;
+         p = next_def[static_cast<std::size_t>(p)]) {
+      const auto q = static_cast<std::size_t>(p);
+      dead[q] = 1;
+      for_each_read(code[q], [&](std::size_t operand) {
+        if (--reads[operand] == 0) unread.push_back(operand);
+      });
     }
   }
   CompactCode(kernel, dead);
@@ -1036,13 +1104,23 @@ OptStats OptimizeFunction(CompiledFunction& fn, const CompileOptions& options) {
   if (options.opt_level <= 0) return stats;
   trace::Span span("optimize:" + fn.function->name, trace::category::kCompile);
 
-  FuseAdjacentOffloads(fn, &stats);
-  for (auto& offload : fn.offloads) {
-    stats.cse_hits += CsePass(offload.kernel);
-    if (options.opt_level >= 2) {
-      stats.hoists += HoistPass(offload.kernel);
+  {
+    trace::Span pass("opt.fuse", trace::category::kCompile);
+    FuseAdjacentOffloads(fn, &stats);
+  }
+  {
+    trace::Span pass("opt.cse", trace::category::kCompile);
+    for (auto& offload : fn.offloads) {
+      stats.cse_hits += CsePass(offload.kernel);
+    }
+  }
+  if (options.opt_level >= 2) {
+    trace::Span pass("opt.hoist", trace::category::kCompile);
+    for (auto& offload : fn.offloads) {
+      const int hoists = HoistPass(offload.kernel);
+      stats.hoists += hoists;
       // Hoisting can expose new block-local redundancy (and dead copies).
-      if (stats.hoists > 0) stats.cse_hits += CsePass(offload.kernel);
+      if (hoists > 0) stats.cse_hits += CsePass(offload.kernel);
     }
   }
 

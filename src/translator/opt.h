@@ -16,7 +16,9 @@ namespace accmg::translator {
 
 /// Counts of rewrites applied (and refused) by one OptimizeFunction run.
 /// The same values are accumulated into the global metrics registry as
-/// opt.fusions, opt.hoists, opt.cse_hits and opt.bailouts.
+/// opt.fusions, opt.hoists, opt.cse_hits and opt.bailouts. A fused run of
+/// k loops counts k-1 fusions; each refused adjacent boundary counts one
+/// bail-out.
 struct OptStats {
   int fusions = 0;
   int hoists = 0;
@@ -27,8 +29,9 @@ struct OptStats {
 /// Runs the mid-end over one compiled (already lowered) function:
 ///   opt_level >= 1 — offload fusion + CSE;
 ///   opt_level >= 2 — additionally invariant hoisting.
-/// Fused offloads are re-lowered in place; the constituent loops that were
-/// folded away land in `fn.fused_away` so the host interpreter skips them.
+/// Each maximal run of fusible adjacent offloads is lowered once, in place
+/// of its first offload; the other loops of the run land in `fn.fused_away`
+/// so the host interpreter skips them.
 OptStats OptimizeFunction(CompiledFunction& fn, const CompileOptions& options);
 
 /// Local value numbering + copy propagation per basic block, followed by a

@@ -1,13 +1,29 @@
 // Unit tests for the translator: offload extraction, access analysis,
-// write-locality proofs, host evaluation, and the CUDA codegen artifact.
+// write-locality proofs, host evaluation, the CUDA codegen artifact, and the
+// optimizing mid-end (fusion, CSE, golden IR and compile-time scaling).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "apps/bfs/bfs.h"
+#include "apps/heat2d/heat2d.h"
+#include "apps/kmeans/kmeans.h"
+#include "apps/lattice/lattice.h"
+#include "apps/md/md.h"
+#include "apps/spmv/spmv.h"
 #include "common/error.h"
+#include "common/sha256.h"
 #include "frontend/parser.h"
 #include "frontend/sema.h"
+#include "ir/ir.h"
 #include "translator/cuda_codegen.h"
 #include "translator/eval.h"
 #include "translator/offload.h"
+#include "translator/opt.h"
 
 namespace accmg::translator {
 namespace {
@@ -701,6 +717,459 @@ void f(int n, float* a, float* b, float* w) {
   EXPECT_EQ(match.program.functions.at(0).offloads.size(), 1u);
   EXPECT_EQ(FusionCount(match.program), 1);
 }
+
+/// One adjacent parallel loop per character of `pattern`, each with a
+/// 16-temporary body. 'f' updates a[i] from a[i] and b[i], so runs of 'f'
+/// fuse; 'n' writes b[i] from a[i + 1] (clamped), which the loop before
+/// wrote on another thread, so fusion is refused on both of its sides.
+std::string ChainSource(const std::string& pattern) {
+  std::ostringstream os;
+  os << "void chain(int n, float* a, float* b) {\n";
+  for (std::size_t k = 0; k < pattern.size(); ++k) {
+    const bool neighbour = pattern[k] == 'n';
+    os << "  #pragma acc localaccess(a: stride(1)"
+       << (neighbour ? ", right(1)" : "") << ") (b: stride(1))\n"
+       << "  #pragma acc parallel loop\n"
+       << "  for (int i = 0; i < n; i++) {\n";
+    if (neighbour) {
+      os << "    int r = i + 1;\n    if (r >= n) { r = n - 1; }\n"
+         << "    float t0 = a[r] * 0.5f + b[i] * 0.5f + " << k << ".0f;\n";
+    } else {
+      os << "    float t0 = a[i] * 0.75f + b[i] + " << k << ".0f;\n";
+    }
+    for (int s = 1; s <= 16; ++s) {
+      os << "    float t" << s << " = t" << s - 1 << " * 1.0625f - b[i] * "
+         << s << ".5f + " << s << ".25f;\n";
+    }
+    os << "    " << (neighbour ? 'b' : 'a')
+       << "[i] = t16 * 0.125f + t8 * 0.25f + t0 * 0.5f;\n  }\n";
+  }
+  os << "}\n";
+  return os.str();
+}
+
+std::string FusibleChainSource(int loops) {
+  return ChainSource(std::string(static_cast<std::size_t>(loops), 'f'));
+}
+
+/// Compiles at opt level 0, then runs the mid-end explicitly so the test
+/// sees its OptStats (Compile at level 0 + OptimizeFunction is Compile at
+/// level 1).
+OptStats OptimizeSource(const std::string& source, Compiled* out) {
+  *out = CompileSource(source, /*opt_level=*/0);
+  CompileOptions options;
+  options.opt_level = 1;
+  OptStats total;
+  for (auto& fn : out->program.functions) {
+    const OptStats stats = OptimizeFunction(fn, options);
+    total.fusions += stats.fusions;
+    total.bailouts += stats.bailouts;
+    total.cse_hits += stats.cse_hits;
+  }
+  return total;
+}
+
+TEST(FusionTest, LongChainFusesIntoOne) {
+  Compiled compiled;
+  const OptStats stats = OptimizeSource(FusibleChainSource(96), &compiled);
+  const auto& fn = compiled.program.functions.at(0);
+  ASSERT_EQ(fn.offloads.size(), 1u);
+  EXPECT_EQ(fn.offloads[0].fused.size(), 96u);
+  EXPECT_EQ(fn.offloads[0].id, 0);
+  EXPECT_EQ(fn.fused_away.size(), 95u);
+  EXPECT_EQ(stats.fusions, 95);
+  EXPECT_EQ(stats.bailouts, 0);
+  EXPECT_EQ(fn.offload_of_stmt.size(), 1u);
+  EXPECT_EQ(fn.offload_of_stmt.at(fn.offloads[0].loop), 0);
+}
+
+TEST(FusionTest, RefusedBoundaryStaysRefused) {
+  // x | y z: y reads a[i + 1], which x wrote on another thread, so the
+  // x|y boundary is refused; y and z fuse. The refusal is final — a wider
+  // right side (y after absorbing z) can only add facts — so it is counted
+  // once.
+  Compiled compiled;
+  const OptStats stats = OptimizeSource(R"(
+void f(int n, float* a, float* b, float* c) {
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) { a[i] = 1.0f; }
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) { b[i] = a[i + 1]; }
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) { c[i] = b[i] * 2.0f; }
+})", &compiled);
+  const auto& fn = compiled.program.functions.at(0);
+  ASSERT_EQ(fn.offloads.size(), 2u);
+  EXPECT_TRUE(fn.offloads[0].fused.empty());
+  ASSERT_EQ(fn.offloads[1].fused.size(), 2u);
+  EXPECT_EQ(fn.offloads[1].fused[0].loop->loc.line, 6);
+  EXPECT_EQ(fn.offloads[1].fused[1].loop->loc.line, 8);
+  EXPECT_EQ(fn.offloads[1].id, 1);
+  EXPECT_EQ(fn.offload_of_stmt.at(fn.offloads[1].loop), 1);
+  EXPECT_EQ(stats.fusions, 1);
+  EXPECT_EQ(stats.bailouts, 1);
+}
+
+/// Best of five wall-clock times of compiling `source` at opt level 1.
+double MinCompileSeconds(const std::string& source) {
+  double best = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    const Compiled compiled = CompileSource(source, /*opt_level=*/1);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    best = rep == 0 ? seconds : std::min(best, seconds);
+  }
+  return best;
+}
+
+TEST(MidEndScalingTest, EightTimesTheLoopsCostsUnderSixteenTimesTheTime) {
+  // A linear mid-end makes 96 loops cost ~8x 12 loops; the bound leaves 2x
+  // headroom for noise while still failing a quadratic pass (~64x).
+  const double t12 = MinCompileSeconds(FusibleChainSource(12));
+  const double t96 = MinCompileSeconds(FusibleChainSource(96));
+  EXPECT_LT(t96, 16.0 * t12) << "12 loops: " << t12 * 1e3
+                             << " ms, 96 loops: " << t96 * 1e3 << " ms";
+}
+
+// ---------------------------------------------------------------------------
+// CSE over hand-built kernel IR
+// ---------------------------------------------------------------------------
+
+using ir::Opcode;
+
+ir::Instr Op(Opcode op, int dst, int a = -1, int b = -1) {
+  ir::Instr in;
+  in.op = op;
+  in.dst = dst;
+  in.a = a;
+  in.b = b;
+  return in;
+}
+
+ir::Instr ConstI(int dst, std::int64_t value) {
+  ir::Instr in = Op(Opcode::kConstI, dst);
+  in.imm.i = value;
+  return in;
+}
+
+ir::Instr ConstF(int dst, double value) {
+  ir::Instr in = Op(Opcode::kConstF, dst);
+  in.imm.f = value;
+  return in;
+}
+
+ir::Instr Load(int dst, int arr, int index) {
+  ir::Instr in = Op(Opcode::kLoad, dst, index);
+  in.arr = arr;
+  return in;
+}
+
+ir::Instr Store(int arr, int index, int value) {
+  ir::Instr in = Op(Opcode::kStore, -1, index, value);
+  in.arr = arr;
+  return in;
+}
+
+ir::Instr Br(std::int64_t target) {
+  ir::Instr in = Op(Opcode::kBr, -1);
+  in.imm.i = target;
+  return in;
+}
+
+/// A kernel over two i64 arrays, x (index 0) and y (index 1); r0 is the
+/// thread id.
+ir::KernelIR CseKernel(int num_regs, std::vector<ir::Instr> code) {
+  ir::KernelIR kernel;
+  kernel.name = "cse";
+  kernel.arrays = {{"x", ir::ValType::kI64, true, true},
+                   {"y", ir::ValType::kI64, true, true}};
+  kernel.num_regs = num_regs;
+  kernel.code = std::move(code);
+  kernel.code.push_back(Op(Opcode::kRet, -1));
+  return kernel;
+}
+
+int CountOp(const ir::KernelIR& kernel, Opcode op) {
+  return static_cast<int>(
+      std::count_if(kernel.code.begin(), kernel.code.end(),
+                    [op](const ir::Instr& in) { return in.op == op; }));
+}
+
+TEST(CseTest, RepeatedPureOpHits) {
+  ir::KernelIR kernel = CseKernel(
+      4, {ConstI(1, 4), Op(Opcode::kMulI, 2, 0, 1), Op(Opcode::kMulI, 3, 0, 1),
+          Store(0, 0, 3)});
+  EXPECT_EQ(CsePass(kernel), 1);
+  EXPECT_EQ(CountOp(kernel, Opcode::kMulI), 1);
+  EXPECT_EQ(CountOp(kernel, Opcode::kMov), 0);
+  ASSERT_EQ(kernel.code.size(), 4u);
+  EXPECT_EQ(kernel.code[2].op, Opcode::kStore);
+  EXPECT_EQ(kernel.code[2].b, 2);  // the first product's register
+}
+
+TEST(CseTest, StoreToTheArrayKillsEarlierLoad) {
+  // x[tid] is stored between the two loads: the second must reload.
+  ir::KernelIR killed = CseKernel(
+      4, {Load(1, 0, 0), Store(0, 0, 0), Load(2, 0, 0),
+          Op(Opcode::kAddI, 3, 1, 2), Store(1, 0, 3)});
+  EXPECT_EQ(CsePass(killed), 0);
+  EXPECT_EQ(CountOp(killed, Opcode::kLoad), 2);
+
+  // A store to another array leaves the load available.
+  ir::KernelIR kept = CseKernel(
+      4, {Load(1, 0, 0), Store(1, 0, 0), Load(2, 0, 0),
+          Op(Opcode::kAddI, 3, 1, 2), Store(1, 0, 3)});
+  EXPECT_EQ(CsePass(kept), 1);
+  EXPECT_EQ(CountOp(kept, Opcode::kLoad), 1);
+}
+
+TEST(CseTest, OverwrittenRepresentativeIsNotReused) {
+  // r1 holds tid+tid until it is overwritten with 7; the later tid+tid must
+  // be recomputed, not copied from r1.
+  ir::KernelIR kernel = CseKernel(
+      4, {Op(Opcode::kAddI, 1, 0, 0), Store(0, 0, 1), ConstI(1, 7),
+          Op(Opcode::kAddI, 2, 0, 0), Op(Opcode::kAddI, 3, 1, 2),
+          Store(1, 0, 3)});
+  EXPECT_EQ(CsePass(kernel), 0);
+  EXPECT_EQ(CountOp(kernel, Opcode::kMov), 0);
+  EXPECT_EQ(CountOp(kernel, Opcode::kAddI), 3);
+  EXPECT_EQ(kernel.code[3].op, Opcode::kAddI);
+  EXPECT_EQ(kernel.code[3].dst, 2);
+}
+
+TEST(CseTest, MovIsCopyPropagated) {
+  ir::KernelIR kernel = CseKernel(
+      3, {Op(Opcode::kAddI, 1, 0, 0), Op(Opcode::kMov, 2, 1), Store(0, 0, 2)});
+  EXPECT_EQ(CsePass(kernel), 0);
+  EXPECT_EQ(CountOp(kernel, Opcode::kMov), 0);
+  ASSERT_EQ(kernel.code.size(), 3u);
+  EXPECT_EQ(kernel.code[1].op, Opcode::kStore);
+  EXPECT_EQ(kernel.code[1].b, 1);
+}
+
+TEST(CseTest, CommutativeIntOperandsCanonicalizedFloatsNotSwapped) {
+  ir::KernelIR kernel = CseKernel(
+      10, {ConstI(1, 3), Op(Opcode::kAddI, 2, 0, 1), Op(Opcode::kAddI, 3, 1, 0),
+           Op(Opcode::kI2F, 4, 0), ConstF(5, 2.0), Op(Opcode::kAddF, 6, 4, 5),
+           Op(Opcode::kAddF, 7, 5, 4), Op(Opcode::kAddI, 8, 2, 3),
+           Store(0, 0, 8), Op(Opcode::kAddF, 9, 6, 7), Store(1, 0, 9)});
+  // Only the swapped integer add is a hit; the swapped float add is kept.
+  EXPECT_EQ(CsePass(kernel), 1);
+  EXPECT_EQ(CountOp(kernel, Opcode::kAddI), 2);
+  EXPECT_EQ(CountOp(kernel, Opcode::kAddF), 3);
+}
+
+TEST(CseTest, DeadMovChainIsFullySwept) {
+  // Each copy sits in its own basic block, so value numbering cannot
+  // shorten the chain; only the dead-code sweep can remove it, one link
+  // at a time from the unread end.
+  ir::KernelIR kernel = CseKernel(
+      5, {ConstI(1, 1), Br(2), Op(Opcode::kMov, 2, 1), Br(4),
+          Op(Opcode::kMov, 3, 2), Br(6), Op(Opcode::kMov, 4, 3)});
+  EXPECT_EQ(CsePass(kernel), 0);
+  EXPECT_EQ(CountOp(kernel, Opcode::kMov), 0);
+  EXPECT_EQ(CountOp(kernel, Opcode::kConstI), 0);
+  ASSERT_EQ(kernel.code.size(), 4u);
+  EXPECT_EQ(kernel.code[0].imm.i, 1);
+  EXPECT_EQ(kernel.code[1].imm.i, 2);
+  EXPECT_EQ(kernel.code[2].imm.i, 3);
+  EXPECT_EQ(kernel.code[3].op, Opcode::kRet);
+}
+
+// ---------------------------------------------------------------------------
+// Golden mid-end output: SHA-256 of ir::Print of every offload, plus the
+// source lines of the loops fused into it, for the six apps at O1 and O2.
+// ---------------------------------------------------------------------------
+
+struct GoldenOffload {
+  std::string name;
+  std::vector<int> loop_lines;  ///< constituent loops, source order
+  std::string ir_sha256;
+
+  bool operator==(const GoldenOffload& o) const {
+    return name == o.name && loop_lines == o.loop_lines &&
+           ir_sha256 == o.ir_sha256;
+  }
+};
+
+void PrintTo(const GoldenOffload& g, std::ostream* os) {
+  *os << "{\"" << g.name << "\", {";
+  for (const int line : g.loop_lines) *os << line << ", ";
+  *os << "}, \"" << g.ir_sha256 << "\"}";
+}
+
+struct OptGoldenCase {
+  std::string app;
+  int opt_level = 1;
+  std::vector<GoldenOffload> offloads;
+};
+
+void PrintTo(const OptGoldenCase& c, std::ostream* os) {
+  *os << c.app << "/O" << c.opt_level;
+}
+
+/// Two offloads over different iteration spaces: only the first has an
+/// inner loop with invariant work, so at O2 only the first one hoists.
+const std::string& HoistPairSource() {
+  static const std::string source = R"(
+void h(int n, int m, float* a, float* b, float* c) {
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) {
+    float s = 0.0f;
+    for (int j = 0; j < 4; j++) { s = s + b[i] * 2.0f + a[i] * 0.5f; }
+    a[i] = s;
+  }
+  #pragma acc parallel loop
+  for (int i = 0; i < m; i++) {
+    float t = c[i] * 3.0f;
+    c[i] = t * c[i] + t * c[i];
+  }
+})";
+  return source;
+}
+
+const std::string& AppSource(const std::string& app) {
+  if (app == "hoist_pair") return HoistPairSource();
+  if (app == "mixed_chain") {
+    static const std::string source = ChainSource("fnffnfffnf");
+    return source;
+  }
+  if (app == "md") return apps::MdSource();
+  if (app == "kmeans") return apps::KmeansSource();
+  if (app == "bfs") return apps::BfsSource();
+  if (app == "spmv") return apps::SpmvSource();
+  if (app == "heat2d") return apps::Heat2dSource();
+  return apps::LatticeSource();
+}
+
+std::vector<int> LoopLines(const LoopOffload& offload) {
+  if (offload.fused.empty()) return {offload.loop->loc.line};
+  std::vector<int> lines;
+  for (const auto& f : offload.fused) lines.push_back(f.loop->loc.line);
+  return lines;
+}
+
+std::string IrSha256(const ir::KernelIR& kernel) {
+  Sha256 hash;
+  hash.Update(ir::Print(kernel));
+  return hash.HexDigest();
+}
+
+class OptGoldenTest : public ::testing::TestWithParam<OptGoldenCase> {};
+
+TEST_P(OptGoldenTest, IrAndFusedGroupsMatchPinnedValues) {
+  const OptGoldenCase& expected = GetParam();
+  const Compiled compiled =
+      CompileSource(AppSource(expected.app), expected.opt_level);
+  std::vector<GoldenOffload> observed;
+  for (const auto& fn : compiled.program.functions) {
+    for (const auto& offload : fn.offloads) {
+      observed.push_back(
+          {offload.name, LoopLines(offload), IrSha256(offload.kernel)});
+    }
+  }
+  EXPECT_EQ(observed, expected.offloads);
+}
+
+const std::vector<OptGoldenCase>& OptGoldenCases() {
+  static const std::vector<OptGoldenCase> cases = {
+      // Captured with the restart-after-every-fusion driver and map-based
+      // value numbering, before the linear-time mid-end replaced them.
+      {"md", 1,
+       {{"md_kernel0", {9},
+         "a6f7945e3a5ffdb838c4935e91ec98a100064403b1bea8baa0af950e4aaeced7"}}},
+      {"md", 2,
+       {{"md_kernel0", {9},
+         "a6f7945e3a5ffdb838c4935e91ec98a100064403b1bea8baa0af950e4aaeced7"}}},
+      {"kmeans", 1,
+       {{"kmeans_kernel0_fused", {15, 36},
+         "f43b6020565d56f91be3561abc582655c6f2b057efe038e9482580af1612d085"}}},
+      {"kmeans", 2,
+       {{"kmeans_kernel0_fused", {15, 36},
+         "f43b6020565d56f91be3561abc582655c6f2b057efe038e9482580af1612d085"}}},
+      {"bfs", 1,
+       {{"bfs_kernel0", {18},
+         "71d569a883d500dedf611348f32faf78f5dd0aae0e27b91c3f942d8c12034f3d"}}},
+      {"bfs", 2,
+       {{"bfs_kernel0", {18},
+         "71d569a883d500dedf611348f32faf78f5dd0aae0e27b91c3f942d8c12034f3d"}}},
+      {"spmv", 1,
+       {{"spmv_kernel0", {10},
+         "28786ca09b7c6d1a5f5e0bd0d08592e7e6ee841461caf8c58b1dfd8e0025a531"}}},
+      {"spmv", 2,
+       {{"spmv_kernel0", {10},
+         "28786ca09b7c6d1a5f5e0bd0d08592e7e6ee841461caf8c58b1dfd8e0025a531"}}},
+      {"heat2d", 1,
+       {{"heat2d_kernel0", {8},
+         "5565eb2e1b3a9097c5d697dd05333d4dca6a85fb7bff3a190b0c6f267b60b68e"},
+        {"heat2d_kernel1", {25},
+         "8ba17e68a1972eafdab877406d2405927fc2bb7a23589488886ba38624792464"}}},
+      {"heat2d", 2,
+       {{"heat2d_kernel0", {8},
+         "5565eb2e1b3a9097c5d697dd05333d4dca6a85fb7bff3a190b0c6f267b60b68e"},
+        {"heat2d_kernel1", {25},
+         "8ba17e68a1972eafdab877406d2405927fc2bb7a23589488886ba38624792464"}}},
+      {"lattice", 1,
+       {{"lattice_kernel0", {9},
+         "9a6b8caeabfa1a2b02e303723577ddc599ee2dd2fd490b44b6a8512adf9c859d"},
+        {"lattice_kernel1", {27},
+         "7dbf780dce7543cff3cf0bcf11c061befc7abf8d8c89a8d2cef66cfeff4ac898"}}},
+      {"lattice", 2,
+       {{"lattice_kernel0", {9},
+         "9a6b8caeabfa1a2b02e303723577ddc599ee2dd2fd490b44b6a8512adf9c859d"},
+        {"lattice_kernel1", {27},
+         "7dbf780dce7543cff3cf0bcf11c061befc7abf8d8c89a8d2cef66cfeff4ac898"}}},
+      {"hoist_pair", 1,
+       {{"h_kernel0", {4},
+         "8bd6a92a198e4af8e7994e46a045253afa8582fbb757944f7fea9e99ae7ef748"},
+        {"h_kernel1", {10},
+         "79b97d38c76937665c389ca3c9fa6f5f0fa40d799c8207a96df989fbade5dbaf"}}},
+      {"hoist_pair", 2,
+       {{"h_kernel0", {4},
+         "9fe9ae569f2e7e53f60c5c9320e702fc60c54d28891c43250ff3600ab08cf6c3"},
+        {"h_kernel1", {10},
+         "79b97d38c76937665c389ca3c9fa6f5f0fa40d799c8207a96df989fbade5dbaf"}}},
+      {"mixed_chain", 1,
+       {{"chain_kernel0", {4},
+         "179d7d767748208c30bc0255fcdba7941633c44df3db8bb940ad9d680d42643e"},
+        {"chain_kernel1", {26},
+         "8f45cc9ae51bb73abdcc8d19db982b8b09083da75d3acda7b79b3fcac8045dfa"},
+        {"chain_kernel2_fused", {50, 72},
+         "503c633ced828a0c3b2a26f4aafb6b97af6b8a5d4a700e6e9cd0a691fb2d53aa"},
+        {"chain_kernel4", {94},
+         "00872f685292eaddbfbbe42d30e6cdc357d3cf00123dc119fc038796028deded"},
+        {"chain_kernel5_fused", {118, 140, 162},
+         "6824bd31388ceba673be41750b1eb0982b30aceaf81c418fc06a6b2f1861ceb7"},
+        {"chain_kernel8", {184},
+         "e205cb6c1a51d05138b956a802d8bc36c85d50442f90c2805bae0ace90575c0d"},
+        {"chain_kernel9", {208},
+         "377ddf0498e9ee3679972fb803e93a3d4e6dd6295834b5746f46421fc8e53489"}}},
+      {"mixed_chain", 2,
+       {{"chain_kernel0", {4},
+         "179d7d767748208c30bc0255fcdba7941633c44df3db8bb940ad9d680d42643e"},
+        {"chain_kernel1", {26},
+         "8f45cc9ae51bb73abdcc8d19db982b8b09083da75d3acda7b79b3fcac8045dfa"},
+        {"chain_kernel2_fused", {50, 72},
+         "503c633ced828a0c3b2a26f4aafb6b97af6b8a5d4a700e6e9cd0a691fb2d53aa"},
+        {"chain_kernel4", {94},
+         "00872f685292eaddbfbbe42d30e6cdc357d3cf00123dc119fc038796028deded"},
+        {"chain_kernel5_fused", {118, 140, 162},
+         "6824bd31388ceba673be41750b1eb0982b30aceaf81c418fc06a6b2f1861ceb7"},
+        {"chain_kernel8", {184},
+         "e205cb6c1a51d05138b956a802d8bc36c85d50442f90c2805bae0ace90575c0d"},
+        {"chain_kernel9", {208},
+         "377ddf0498e9ee3679972fb803e93a3d4e6dd6295834b5746f46421fc8e53489"}}},
+  };
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, OptGoldenTest, ::testing::ValuesIn(OptGoldenCases()),
+    [](const ::testing::TestParamInfo<OptGoldenCase>& info) {
+      return info.param.app + "_O" + std::to_string(info.param.opt_level);
+    });
 
 }  // namespace
 }  // namespace accmg::translator
