@@ -158,7 +158,7 @@ Executor::Executor(sim::Platform& platform, ExecOptions options,
                   "executor device id out of range");
   }
   if (options_.validate) {
-    validator_ = std::make_unique<Validator>(platform_, devices_);
+    validator_ = std::make_unique<Validator>(platform_);
   }
 }
 
@@ -185,8 +185,9 @@ void Executor::RunOffloadAttempt(const LoopOffload& offload, HostEnv& env,
     return;
   }
   validator_->BeginOffload(offload, env, resolve);
+  LaunchGeometry geometry;
   try {
-    RunOffloadImpl(offload, env, resolve);
+    geometry = RunOffloadImpl(offload, env, resolve);
   } catch (const FaultError&) {
     // Injected faults belong to the recovery loop (rollback + retry), not
     // to the validator, which would misreport them as divergences.
@@ -196,7 +197,7 @@ void Executor::RunOffloadAttempt(const LoopOffload& offload, HostEnv& env,
     // loudly, and the validator attributes it to the running kernel.
     validator_->ReportFault(offload, fault);
   }
-  validator_->CheckOffload(offload, env, resolve);
+  validator_->CheckOffload(offload, env, resolve, geometry, devices_);
 }
 
 void Executor::CheckInterrupts() const {
@@ -223,7 +224,6 @@ void Executor::ShrinkDevices(const std::vector<int>& lost) {
                    devices_.end());
     loader_.RemoveDevice(d);
     comm_.RemoveDevice(d);
-    if (validator_ != nullptr) validator_->RemoveDevice(d);
     RecoveryMetrics::Get().device_shrinks.Add();
     ACCMG_LOG(kWarn) << "device " << d
                      << " lost; continuing on " << devices_.size()
@@ -315,8 +315,9 @@ void Executor::MarkReady(const ManagedArray* array, double bulk,
   pending_comm_end_ = std::max(pending_comm_end_, state.halo);
 }
 
-void Executor::RunOffloadImpl(const LoopOffload& offload, HostEnv& env,
-                              const ArrayResolver& resolve) {
+LaunchGeometry Executor::RunOffloadImpl(const LoopOffload& offload,
+                                       HostEnv& env,
+                                       const ArrayResolver& resolve) {
   trace::Span offload_span("offload:" + offload.name,
                            trace::category::kOffload);
   OffloadStep step{offload, env, resolve,
@@ -333,6 +334,7 @@ void Executor::RunOffloadImpl(const LoopOffload& offload, HostEnv& env,
   trace::PhaseScope reduction_phase(trace::category::kReduction);
   CombineReductions(step);
   Cohere(step);
+  return LaunchGeometry{std::move(step.tasks), std::move(step.plans)};
 }
 
 // --- Map: one contiguous task per device (Section IV-B2 plus the spec and
@@ -489,17 +491,12 @@ void Executor::LaunchKernels(OffloadStep& step) {
   offload_runs_metric.Add();
 }
 
-// One KernelExec per device runs one full-range launch, or under a
-// pipeline split up to three sub-launches: interior first (it never waits
-// on halos), then the lead and trail boundary windows gated on halo_gate.
-// The sub-launches share the KernelExec and continue its thread grid, so
-// reduction partials fold across them exactly as one full-range launch's.
 void Executor::AddDeviceLaunches(OffloadStep& step, std::size_t g,
                                  std::vector<sim::DeviceLaunch>& batch) {
   const LoopOffload& offload = step.offload;
   const Range task = step.tasks[g];
   auto exec = std::make_unique<ir::KernelExec>(offload.decoded);
-  step.values.BindTo(*exec);
+  step.values.BindTo(*exec, task);
   for (std::size_t a = 0; a < step.bound.size(); ++a) {
     const BoundArray& ba = step.bound[a];
     const auto& param = offload.kernel.arrays[a];
@@ -521,33 +518,9 @@ void Executor::AddDeviceLaunches(OffloadStep& step, std::size_t g,
     }
     if (param.miss_checked) binding.miss = &shard.miss;
   }
-  exec->iteration_offset = step.values.lower + task.lo;
-  exec->ResetOutputs();
-
-  auto add = [&](std::int64_t first_iter, std::int64_t threads,
-                 const char* suffix, double ready_at) {
-    sim::DeviceLaunch& dl = batch.emplace_back();
-    dl.device_id = devices_[g];
-    dl.launch.body = exec.get();
-    dl.launch.num_threads = threads;
-    dl.launch.block_size = options_.block_size;
-    dl.launch.name = suffix != nullptr ? offload.name + suffix : offload.name;
-    dl.launch.ready_at = ready_at;
-    dl.launch.first_thread = first_iter;
-  };
-
-  const SplitPlan& plan = step.plans[g];
-  if (!plan.split) {
-    // Unsplit kernels may read halo elements, so they gate on halo_gate.
-    add(0, task.size(), nullptr, step.halo_gate);
-  } else {
-    const std::int64_t size = task.size();
-    add(plan.lead, size - plan.lead - plan.trail, ":interior", 0);
-    if (plan.lead > 0) add(0, plan.lead, ":lead", step.halo_gate);
-    if (plan.trail > 0) {
-      add(size - plan.trail, plan.trail, ":trail", step.halo_gate);
-    }
-  }
+  AppendPartLaunches(batch, devices_[g], *exec, offload.name,
+                     options_.block_size, task.size(), step.plans[g],
+                     step.halo_gate);
   step.execs.push_back(std::move(exec));
 }
 
@@ -584,22 +557,22 @@ void Executor::CombineReductions(OffloadStep& step) {
   double scalar_red_end = platform_.clock().Now();
   for (std::size_t r = 0; r < offload.scalar_reds.size(); ++r) {
     const auto& slot = offload.kernel.scalar_reductions[r];
-    std::uint64_t acc = step.values.red_initial[r];
-    for (std::size_t g = 0; g < devices_.size(); ++g) {
-      acc = ir::CombineRaw(slot.op, slot.type, acc,
-                           step.execs[g]->scalar_red_results()[r]);
+    for (int device : devices_) {
       scalar_red_end = std::max(
-          scalar_red_end, platform_.BillDeviceToHost(
-                              devices_[g], ir::ValTypeSize(slot.type)));
+          scalar_red_end,
+          platform_.BillDeviceToHost(device, ir::ValTypeSize(slot.type)));
     }
-    step.env.SetScalar(*offload.scalar_reds[r].decl,
-                       TypedValue::FromElementBits(slot.type, acc));
+    step.env.SetScalar(
+        *offload.scalar_reds[r].decl,
+        TypedValue::FromElementBits(
+            slot.type,
+            FoldScalarReduction(offload, step.values, step.execs, r)));
   }
   platform_.clock().AdvanceTo(Floor(scalar_red_end),
                               sim::TimeCategory::kGpuGpu);
 
   // Array reductions (hierarchical): per-GPU dense partials combine
-  // pairwise across GPUs (tree order, parallel over element ranges), then
+  // pairwise across GPUs (CombinePartials' tree order), then
   // the result folds into every replica of the destination. Later offloads
   // using the destination gate on the broadcast; the host does not.
   for (std::size_t r = 0; r < offload.array_reds.size(); ++r) {

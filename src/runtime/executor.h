@@ -27,6 +27,7 @@
 #include "runtime/comm_manager.h"
 #include "runtime/data_loader.h"
 #include "runtime/depgraph.h"
+#include "runtime/launch.h"
 #include "runtime/managed_array.h"
 #include "runtime/options.h"
 #include "runtime/validator.h"
@@ -108,10 +109,11 @@ class Executor {
   /// Per-offload state the stages hand each other (defined in executor.cc).
   struct OffloadStep;
 
-  /// The actual BSP step: a driver over the stages below. RunOffload wraps
-  /// it with the validator's capture/check when validation is on.
-  void RunOffloadImpl(const translator::LoopOffload& offload,
-                      translator::HostEnv& env, const ArrayResolver& resolve);
+  /// The actual BSP step: a driver over the stages below. Returns how the
+  /// iteration space was cut, which the validator's golden run replays.
+  LaunchGeometry RunOffloadImpl(const translator::LoopOffload& offload,
+                                translator::HostEnv& env,
+                                const ArrayResolver& resolve);
 
   void MapTasks(OffloadStep& step);
   void PlaceArrays(OffloadStep& step);
@@ -138,8 +140,8 @@ class Executor {
                          translator::HostEnv& env,
                          const ArrayResolver& resolve);
 
-  /// Drops lost devices from the executor, loader, comm manager and
-  /// validator. The remaining devices repartition on the next attempt.
+  /// Drops lost devices from the executor, loader and comm manager. The
+  /// remaining devices repartition on the next attempt.
   void ShrinkDevices(const std::vector<int>& lost);
 
   /// Per-array readiness under the async pipeline. `bulk` is when the

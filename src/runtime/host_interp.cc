@@ -117,10 +117,9 @@ void CollectHostArrayUse(const Stmt& stmt,
 HostInterpreter::HostInterpreter(ProgramRunner& runner,
                                  const translator::CompiledFunction& fn)
     : runner_(runner), fn_(fn) {
-  sim::Platform& platform = *runner_.config_.platform;
-  if (runner_.config_.use_cpu) {
-    cpu_ = std::make_unique<CpuExecutor>(platform);
-  } else {
+  // The CPU baseline (use_cpu) runs offloads by RunOffloadOnCpu instead.
+  if (!runner_.config_.use_cpu) {
+    sim::Platform& platform = *runner_.config_.platform;
     // An explicit device lease (service/arena.h) overrides the default
     // [0, num_gpus) prefix; the Executor validates the ids.
     std::vector<int> devices = runner_.config_.devices;
@@ -476,10 +475,9 @@ void HostInterpreter::RunOffloadStmt(const frontend::ForStmt& loop,
   const translator::LoopOffload& offload =
       fn_.offloads[static_cast<std::size_t>(offload_index)];
 
-  if (cpu_ != nullptr) {
-    cpu_->RunOffload(offload, env_, [this](const VarDecl& decl) {
-      return HostArrayOf(decl);
-    });
+  if (gpu_ == nullptr) {
+    RunOffloadOnCpu(*runner_.config_.platform, offload, env_,
+                    [this](const VarDecl& decl) { return HostArrayOf(decl); });
     return;
   }
 

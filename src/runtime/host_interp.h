@@ -1,14 +1,14 @@
 // Host-side execution of a translated program: runs the sequential mini-C
 // statements on the CPU, manages OpenACC data regions (creating ManagedArrays
 // and honouring copy/copyin/copyout/create/update semantics), and dispatches
-// offloaded loops to the multi-GPU Executor or the CPU baseline executor.
+// offloaded loops to the multi-GPU Executor or the CPU baseline
+// (RunOffloadOnCpu, runtime/launch.h).
 #pragma once
 
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/cpu_executor.h"
 #include "runtime/executor.h"
 #include "runtime/program.h"
 
@@ -64,8 +64,7 @@ class HostInterpreter {
   const translator::CompiledFunction& fn_;
   translator::HostEnv env_;
   std::unordered_map<int, std::unique_ptr<ManagedArray>> managed_;
-  std::unique_ptr<Executor> gpu_;
-  std::unique_ptr<CpuExecutor> cpu_;
+  std::unique_ptr<Executor> gpu_;  ///< null for the CPU baseline (use_cpu)
   /// Inter-offload dependence graph of fn_, built once when the async
   /// pipeline is on; the executor holds a pointer into it.
   DepGraph depgraph_;

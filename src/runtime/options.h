@@ -62,11 +62,13 @@ struct ExecOptions {
   /// on afterwards so callers can export the buffer.
   bool trace = false;
 
-  /// Shadow-executes every offload on a host-side golden interpreter and
+  /// Shadow-executes every offload over host-side copies of its arrays,
+  /// replaying the executor's launch geometry and reduction fold order, and
   /// diffs all managed-array state (shard bytes, host image, dirty bits,
-  /// miss buffers) plus billed-transfer counters after each kernel
-  /// (runtime/validator.h). Expensive — single-threaded re-execution of
-  /// every kernel — so strictly a debugging mode.
+  /// miss buffers, reductions) bit for bit, plus billed-transfer counters,
+  /// after each kernel (runtime/validator.h). Expensive — every kernel runs
+  /// twice, the replay on the same worker pool — so strictly a debugging
+  /// mode.
   bool validate = false;
 
   /// Identifies the service job this execution belongs to (-1 outside the

@@ -4,9 +4,37 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 
 namespace accmg::runtime {
+
+std::vector<std::uint64_t> CombinePartials(
+    ThreadPool& pool, ir::RedOp op, ir::ValType type, std::int64_t length,
+    const std::vector<const std::vector<std::uint64_t>*>& partials) {
+  ACCMG_REQUIRE(!partials.empty(), "reduction combine needs partials");
+  const auto n = static_cast<std::size_t>(length);
+  const std::size_t parts = partials.size();
+  // Tree-combine into mutable work buffers (the partials stay const). Level
+  // by level, node i absorbs node i + stride; pairs at one level are
+  // independent, so a single pool dispatch per level covers them all, split
+  // over element ranges.
+  std::vector<std::vector<std::uint64_t>> work(parts);
+  for (std::size_t g = 0; g < parts; ++g) {
+    ACCMG_REQUIRE(partials[g]->size() >= n, "partial shorter than section");
+    work[g].assign(partials[g]->begin(),
+                   partials[g]->begin() + static_cast<std::int64_t>(n));
+  }
+  for (std::size_t stride = 1; stride < parts; stride *= 2) {
+    pool.ParallelForChunks(
+        0, length, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+          for (std::size_t i = 0; i + stride < parts; i += 2 * stride) {
+            ir::CombineRawSpan(op, type, work[i].data() + lo,
+                               work[i + stride].data() + lo,
+                               static_cast<std::size_t>(hi - lo));
+          }
+        });
+  }
+  return std::move(work[0]);
+}
 
 double CombineArrayReduction(
     sim::Platform& platform, const std::vector<int>& devices,
@@ -14,35 +42,14 @@ double CombineArrayReduction(
     std::int64_t length,
     const std::vector<const std::vector<std::uint64_t>*>& partials,
     double ready_at, sim::Stream stream) {
-  ACCMG_REQUIRE(!devices.empty(), "reduction combine needs devices");
   ACCMG_REQUIRE(partials.size() == devices.size(),
                 "one partial per device expected");
   const std::size_t elem = dest.elem_size();
   const std::size_t num_devices = devices.size();
   const auto n = static_cast<std::size_t>(length);
   ThreadPool& pool = platform.workers();
-
-  // Tree-combine into mutable work buffers (the per-GPU partials stay
-  // const). Level by level, node i absorbs node i + stride; pairs at one
-  // level are independent, so a single pool dispatch per level covers them
-  // all, split over element ranges.
-  std::vector<std::vector<std::uint64_t>> work(num_devices);
-  for (std::size_t g = 0; g < num_devices; ++g) {
-    ACCMG_REQUIRE(partials[g]->size() >= n, "partial shorter than section");
-    work[g].assign(partials[g]->begin(),
-                   partials[g]->begin() + static_cast<std::int64_t>(n));
-  }
-  for (std::size_t stride = 1; stride < num_devices; stride *= 2) {
-    pool.ParallelForChunks(
-        0, length, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          for (std::size_t i = 0; i + stride < num_devices; i += 2 * stride) {
-            ir::CombineRawSpan(op, type, work[i].data() + lo,
-                               work[i + stride].data() + lo,
-                               static_cast<std::size_t>(hi - lo));
-          }
-        });
-  }
-  std::vector<std::uint64_t>& combined = work[0];
+  std::vector<std::uint64_t> combined =
+      CombinePartials(pool, op, type, length, partials);
 
   // Each non-root partial travels to the combining GPU (same bills as the
   // serial chain, in the same order).

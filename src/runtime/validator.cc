@@ -1,7 +1,6 @@
 #include "runtime/validator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -25,43 +24,10 @@ std::uint64_t LoadRaw(const std::byte* base, std::size_t elem_size,
   return raw;
 }
 
-double RawToDouble(ir::ValType type, std::uint64_t raw) {
-  return translator::TypedValue::FromElementBits(type, raw).AsDouble();
-}
-
 std::string RawToString(ir::ValType type, std::uint64_t raw) {
-  switch (type) {
-    case ir::ValType::kF32:
-    case ir::ValType::kF64:
-      return std::to_string(RawToDouble(type, raw));
-    case ir::ValType::kI32:
-      return std::to_string(
-          static_cast<std::int32_t>(static_cast<std::uint32_t>(raw)));
-    case ir::ValType::kI64:
-      return std::to_string(static_cast<std::int64_t>(raw));
-  }
-  return "?";
-}
-
-/// Relative tolerance for float reduction results. Both runs are
-/// deterministic, but they fold in different orders: the golden run is one
-/// left fold over the whole iteration space, the multi-GPU run folds each
-/// chunk, then each device, then combines the devices. Float rounding
-/// differs accordingly.
-constexpr double kReductionRelTol = 1e-5;
-
-/// Float equality up to kReductionRelTol (used only where the fold order
-/// between the multi-GPU and golden runs legitimately differs); exact
-/// otherwise.
-bool RawMatches(ir::ValType type, std::uint64_t a, std::uint64_t b,
-                bool approximate) {
-  if (a == b) return true;
-  if (!approximate || !ir::IsFloat(type)) return false;
-  const double da = RawToDouble(type, a);
-  const double db = RawToDouble(type, b);
-  if (std::isnan(da) && std::isnan(db)) return true;
-  const double scale = std::max({1.0, std::abs(da), std::abs(db)});
-  return std::abs(da - db) <= kReductionRelTol * scale;
+  const auto value = translator::TypedValue::FromElementBits(type, raw);
+  return ir::IsFloat(type) ? std::to_string(value.AsDouble())
+                           : std::to_string(value.AsInt());
 }
 
 /// Human-readable position of flat element `i` in `array`: plain index for
@@ -111,8 +77,7 @@ class BillingGuard {
 
 }  // namespace
 
-Validator::Validator(sim::Platform& platform, std::vector<int> devices)
-    : platform_(platform), devices_(std::move(devices)) {}
+Validator::Validator(sim::Platform& platform) : platform_(platform) {}
 
 void Validator::Diverge(const std::string& message) {
   ++stats_.divergences;
@@ -138,81 +103,53 @@ void Validator::BeginOffload(const LoopOffload& offload, HostEnv& env,
   arrays_.reserve(offload.arrays.size());
   for (const auto& config : offload.arrays) {
     ManagedArray& array = resolve(*config.decl);
-    GoldenArray golden;
-    golden.config = &config;
-    golden.bytes.resize(array.total_bytes());
-    array.SnapshotAuthoritative(golden.bytes.data());
-    arrays_.push_back(std::move(golden));
+    arrays_.push_back({&config, std::vector<std::byte>(array.total_bytes())});
+    array.SnapshotAuthoritative(arrays_.back().bytes.data());
   }
 }
 
-void Validator::RemoveDevice(int device) {
-  devices_.erase(std::remove(devices_.begin(), devices_.end(), device),
-                 devices_.end());
-}
-
 void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
-                             const ArrayResolver& resolve) {
+                             const ArrayResolver& resolve,
+                             const LaunchGeometry& geometry,
+                             const std::vector<int>& devices) {
   BillingGuard guard(platform_);
   ACCMG_CHECK(arrays_.size() == offload.arrays.size(),
               "validator check without a matching BeginOffload");
 
-  // --- golden execution: one device, whole iteration space, full arrays ---
-  ir::KernelExec exec(offload.decoded);
-  values_.BindTo(exec);
-  for (std::size_t a = 0; a < arrays_.size(); ++a) {
-    ManagedArray& array = resolve(*arrays_[a].config->decl);
-    ir::ArrayBinding& binding = exec.bindings[a];
-    binding.data = arrays_[a].bytes.data();
-    binding.lo = 0;
-    binding.hi = array.count();
-    binding.write_lo = 0;
-    binding.write_hi = array.count();
-    binding.logical_size = array.count();
-  }
-  exec.ResetOutputs();
-  sim::KernelStats golden_stats;
+  // --- golden execution: the executor's parts and sub-launches over the
+  // golden images, its fold hierarchy for the reductions. Array reductions
+  // fold into the golden images, where the pre-kernel values are still
+  // resident (kernels accumulate into privatized partials). ---
+  HostRunResult golden_run;
   try {
-    exec.Execute(0, values_.total, golden_stats);
+    golden_run = RunOffloadOnHost(
+        platform_, offload, values_, geometry,
+        [&](const frontend::VarDecl& decl) {
+          const auto it = std::find_if(
+              arrays_.begin(), arrays_.end(),
+              [&](const GoldenArray& g) { return g.config->decl == &decl; });
+          ACCMG_CHECK(it != arrays_.end(), "golden array not captured");
+          return translator::HostArray{it->bytes.data(), it->config->elem,
+                                       resolve(decl).count()};
+        });
   } catch (const DeviceError& fault) {
-    Diverge("kernel '" + offload.name +
-            "': golden single-device execution faulted (" + fault.what() +
-            "); the kernel reads outside the array bounds");
+    Diverge("kernel '" + offload.name + "': golden execution faulted (" +
+            fault.what() + "); the kernel reads outside the array bounds");
   }
 
-  // --- scalar reductions: fold the golden partial into the pre-loop value
-  // and compare with what the executor wrote back into the environment ---
+  // --- scalar reductions: compare with what the executor wrote back into
+  // the environment ---
   for (std::size_t r = 0; r < offload.scalar_reds.size(); ++r) {
     const auto& red = offload.scalar_reds[r];
-    const auto& slot = offload.kernel.scalar_reductions[r];
-    const std::uint64_t golden_value =
-        ir::CombineRaw(slot.op, slot.type, values_.red_initial[r],
-                       exec.scalar_red_results()[r]);
-    const std::uint64_t actual =
-        env.GetScalar(*red.decl).ToElementBits(slot.type);
+    const ir::ValType type = offload.kernel.scalar_reductions[r].type;
+    const std::uint64_t actual = env.GetScalar(*red.decl).ToElementBits(type);
     ++stats_.elements_compared;
-    if (!RawMatches(slot.type, actual, golden_value, /*approximate=*/true)) {
+    if (actual != golden_run.scalar_reds[r]) {
       Diverge("kernel '" + offload.name + "': scalar reduction '" +
               red.decl->name + "' diverges: multi-GPU=" +
-              RawToString(slot.type, actual) + " golden=" +
-              RawToString(slot.type, golden_value));
+              RawToString(type, actual) + " golden=" +
+              RawToString(type, golden_run.scalar_reds[r]));
     }
-  }
-
-  // --- array reductions: fold golden partials into the golden image. The
-  // pre-kernel values are still resident there (kernels accumulate into
-  // privatized partials, never into the destination bytes). ---
-  for (std::size_t r = 0; r < offload.array_reds.size(); ++r) {
-    const auto& slot = offload.kernel.array_reductions[r];
-    std::byte* golden = nullptr;
-    for (auto& g : arrays_) {
-      if (g.config->decl == offload.array_reds[r].decl) {
-        golden = g.bytes.data();
-      }
-    }
-    ACCMG_CHECK(golden != nullptr, "reduction destination not captured");
-    ir::FoldPartialInto(slot.op, slot.type, golden, values_.red_lower[r],
-                        exec.array_red_partials()[r]);
   }
 
   // --- diff every shard and the host image against the golden image ---
@@ -222,50 +159,43 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
     const auto& param = offload.kernel.arrays[a];
     ManagedArray& array = resolve(*config.decl);
     const std::size_t esize = array.elem_size();
-    // Reduction destinations tolerate float rounding: the multi-GPU result
-    // folds its partials in a different order than the golden run.
-    const bool approximate = config.is_reduction_dest;
-
-    for (int device : devices_) {
+    // Diffs a copy of elements `range`, starting at `actual`, against the
+    // golden image. A divergence reads "<what> at element <i><where>".
+    auto diff = [&](const std::byte* actual, Range range,
+                    const std::string& what, const std::string& where,
+                    const char* copy) {
+      for (std::int64_t i = range.lo; i < range.hi; ++i) {
+        const std::uint64_t got = LoadRaw(actual, esize, i - range.lo);
+        const std::uint64_t expected = LoadRaw(golden.bytes.data(), esize, i);
+        ++stats_.elements_compared;
+        if (got != expected) {
+          Diverge("kernel '" + offload.name + "': " + what + " at element " +
+                  ElementCoord(array, i) + where + ": " + copy + "=" +
+                  RawToString(config.elem, got) + " golden=" +
+                  RawToString(config.elem, expected));
+        }
+      }
+    };
+    for (int device : devices) {
       const DeviceShard& shard = array.shard(device);
       if (shard.data == nullptr || !shard.valid || shard.loaded.empty()) {
         continue;
       }
-      const std::byte* resident = shard.data->bytes().data();
-      for (std::int64_t i = shard.loaded.lo; i < shard.loaded.hi; ++i) {
-        const std::uint64_t actual =
-            LoadRaw(resident, esize, i - shard.loaded.lo);
-        const std::uint64_t expected = LoadRaw(golden.bytes.data(), esize, i);
-        ++stats_.elements_compared;
-        if (!RawMatches(config.elem, actual, expected, approximate)) {
-          Diverge("kernel '" + offload.name + "': array '" + config.name +
-                  "' diverges at element " + ElementCoord(array, i) +
-                  " on device " + std::to_string(device) + ": multi-GPU=" +
-                  RawToString(config.elem, actual) + " golden=" +
-                  RawToString(config.elem, expected));
-        }
-      }
+      diff(shard.data->bytes().data(), shard.loaded,
+           "array '" + config.name + "' diverges",
+           " on device " + std::to_string(device), "multi-GPU");
     }
-
     if (array.host_valid()) {
-      const auto* host = static_cast<const std::byte*>(array.host_data());
-      for (std::int64_t i = 0; i < array.count(); ++i) {
-        const std::uint64_t actual = LoadRaw(host, esize, i);
-        const std::uint64_t expected = LoadRaw(golden.bytes.data(), esize, i);
-        ++stats_.elements_compared;
-        if (!RawMatches(config.elem, actual, expected, approximate)) {
-          Diverge("kernel '" + offload.name + "': host image of '" +
-                  config.name + "' is marked valid but diverges at element " +
-                  ElementCoord(array, i) + ": host=" +
-                  RawToString(config.elem, actual) + " golden=" +
-                  RawToString(config.elem, expected));
-        }
-      }
+      diff(static_cast<const std::byte*>(array.host_data()),
+           Range{0, array.count()},
+           "host image of '" + config.name +
+               "' is marked valid but diverges",
+           "", "host");
     }
 
     // --- post-kernel invariants of the coherence machinery ---
     if (param.dirty_tracked) {
-      for (int device : devices_) {
+      for (int device : devices) {
         const DeviceShard& shard = array.shard(device);
         for (const sim::DeviceBuffer* bits :
              {shard.dirty1.get(), shard.dirty2.get()}) {
@@ -281,7 +211,7 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
       }
     }
     if (param.miss_checked) {
-      for (int device : devices_) {
+      for (int device : devices) {
         const DeviceShard& shard = array.shard(device);
         if (!shard.miss.records.empty()) {
           Diverge("kernel '" + offload.name + "': " +
@@ -296,7 +226,7 @@ void Validator::CheckOffload(const LoopOffload& offload, HostEnv& env,
         Diverge("kernel '" + offload.name + "': written array '" +
                 config.name + "' left the host image marked valid");
       }
-      for (int device : devices_) {
+      for (int device : devices) {
         if (!array.shard(device).valid) {
           Diverge("kernel '" + offload.name + "': written array '" +
                   config.name + "' left device " + std::to_string(device) +

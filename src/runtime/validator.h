@@ -1,15 +1,17 @@
 // Runtime coherence validator (--validate / ExecOptions::validate).
 //
-// Shadow-executes every offloaded loop on a single-threaded golden
-// interpreter over host-side copies of the authoritative array state, then
-// diffs everything the multi-GPU machinery produced against it:
+// Shadow-executes every offloaded loop over host-side copies of the
+// authoritative array state, replaying the executor's launch geometry —
+// the same parts and sub-launches, on the same chunk grid — and its fold
+// hierarchy for reductions (RunOffloadOnHost, runtime/launch.h). It then
+// diffs everything the multi-GPU machinery produced against that golden
+// run, bit for bit:
 //
 //   * every participating shard's resident bytes over its loaded range
 //     (so stale replicas, missing halo refreshes and unreplayed write
 //     misses all surface as the first divergent element),
 //   * the host image when the runtime claims it is valid,
-//   * scalar and array reduction results (floats up to a relative
-//     tolerance — the two runs fold partials in different fixed orders),
+//   * scalar and array reduction results,
 //   * post-kernel invariants: dirty bits fully cleared after propagation,
 //     miss buffers drained after replay, written arrays marked valid on
 //     every participant with the host image invalidated,
@@ -46,7 +48,7 @@ struct ValidatorStats {
 
 class Validator {
  public:
-  Validator(sim::Platform& platform, std::vector<int> devices);
+  explicit Validator(sim::Platform& platform);
 
   /// Captures the authoritative pre-kernel state: a golden host copy of
   /// every array the offload touches, scalar argument values, and the
@@ -55,21 +57,20 @@ class Validator {
   void BeginOffload(const translator::LoopOffload& offload,
                     translator::HostEnv& env, const ArrayResolver& resolve);
 
-  /// Runs the golden execution over the captured state and diffs it against
-  /// the multi-GPU outcome. Throws accmg::Error on the first divergence.
+  /// Runs the golden execution of `geometry` — how the executor cut this
+  /// attempt of the offload, part g on `devices[g]` — over the captured
+  /// state and diffs it against the shards of `devices` and the host image.
+  /// Throws accmg::Error on the first divergence.
   void CheckOffload(const translator::LoopOffload& offload,
-                    translator::HostEnv& env, const ArrayResolver& resolve);
+                    translator::HostEnv& env, const ArrayResolver& resolve,
+                    const LaunchGeometry& geometry,
+                    const std::vector<int>& devices);
 
   /// Converts a DeviceError raised by the multi-GPU execution into an
   /// attributed validation error (the golden pre-image tells us which
   /// kernel was running).
   [[noreturn]] void ReportFault(const translator::LoopOffload& offload,
                                 const std::exception& fault);
-
-  /// Drops a lost device from the diff set (executor device-set shrink
-  /// during fault recovery): its shards no longer participate, so checking
-  /// them — or requiring written-array validity on them — would be wrong.
-  void RemoveDevice(int device);
 
   const ValidatorStats& stats() const { return stats_; }
 
@@ -82,7 +83,6 @@ class Validator {
   [[noreturn]] void Diverge(const std::string& message);
 
   sim::Platform& platform_;
-  std::vector<int> devices_;
   ValidatorStats stats_;
 
   // State captured by BeginOffload for the in-flight offload.

@@ -424,11 +424,13 @@ KernelStats Platform::LaunchKernel(int device_id, const KernelLaunch& launch) {
   return batch[0].stats;
 }
 
-KernelStats Platform::RunOnHost(const KernelLaunch& launch) {
-  DeviceLaunch host{.launch = launch};
-  RunChunks(workers_, {&host});
-  if (host.error) std::rethrow_exception(host.error);
-  return host.stats;
+void Platform::RunOnHost(std::vector<DeviceLaunch>& batch) {
+  std::vector<DeviceLaunch*> launches;
+  for (DeviceLaunch& dl : batch) launches.push_back(&dl);
+  RunChunks(workers_, launches);
+  for (const DeviceLaunch& dl : batch) {
+    if (dl.error) std::rethrow_exception(dl.error);
+  }
 }
 
 std::size_t Platform::TotalPeakDeviceBytes() const {

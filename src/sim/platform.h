@@ -148,10 +148,12 @@ class Platform {
   /// The one-launch case of LaunchKernels.
   KernelStats LaunchKernel(int device_id, const KernelLaunch& launch);
 
-  /// Runs `launch` through the same chunk grid and in-order fold as
-  /// LaunchKernels, with no device, fault injection, clock or counters:
-  /// the CPU baseline's engine. Rethrows the first error in chunk order.
-  KernelStats RunOnHost(const KernelLaunch& launch);
+  /// Runs every launch of `batch` through the same chunk grid and in-order
+  /// fold as LaunchKernels, with no device, fault injection, clock or
+  /// counters: the engine of the CPU baseline and the validator's golden
+  /// run (runtime/launch.h). Fills each launch's stats and error, then
+  /// rethrows the first error in issue order.
+  void RunOnHost(std::vector<DeviceLaunch>& batch);
 
   /// BSP phase boundary; see SimClock::Barrier.
   double Barrier(TimeCategory category) { return clock_.Barrier(category); }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
@@ -279,10 +280,12 @@ TEST(Heat2dTest, MeasuredMapperRebalancesWithoutChangingResults) {
 // ---------------------------------------------------------------------------
 // Golden counts: the exact dynamic cost (instructions, bytes read, bytes
 // written) of every kernel and a digest of the output bytes, pinned per app
-// and GPU count. The kernel engine may change how it charges cost, never
-// what it charges: a drift in the counts moves simulated time, and a drift
-// in the digest is a wrong result. bfs pins its output only, because its
-// racing reads of `visited` make its instruction count follow the race.
+// and GPU count, and for each app's OpenMP (CPU) baseline its simulated
+// host-compute seconds and output digest. The kernel engine may change how
+// it charges cost, never what it charges: a drift in the counts moves
+// simulated time, and a drift in the digest is a wrong result. bfs pins its
+// output only, because its racing reads of `visited` make its instruction
+// count follow the race.
 // ---------------------------------------------------------------------------
 
 struct GoldenKernel {
@@ -296,13 +299,19 @@ struct GoldenKernel {
 
 struct GoldenCase {
   std::string app;
-  int gpus = 0;
+  int gpus = 0;  ///< 0: the app's OpenMP (CPU) baseline
   std::string output_sha256;
   std::vector<GoldenKernel> kernels;  ///< empty: counts are not pinned (bfs)
+  /// CPU rows: simulated host-compute seconds (0: not pinned, bfs).
+  double host_compute_s = 0;
 };
 
 void PrintTo(const GoldenCase& c, std::ostream* os) {
   *os << c.app << "/" << c.gpus;
+}
+
+std::string GoldenCaseName(const GoldenCase& c) {
+  return c.app + (c.gpus == 0 ? "_cpu" : "_" + std::to_string(c.gpus) + "gpu");
 }
 
 template <typename T>
@@ -310,8 +319,9 @@ void HashBytes(Sha256& hash, const std::vector<T>& values) {
   hash.Update(values.data(), values.size() * sizeof(T));
 }
 
-/// Runs `app` on a 4-GPU supercomputer node using `gpus` of its devices.
-/// Returns the report and fills `sha256` with the digest of its outputs.
+/// Runs `app` on a 4-GPU supercomputer node using `gpus` of its devices, or
+/// through its OpenMP baseline on the node's host when `gpus` is 0. Returns
+/// the report and fills `sha256` with the digest of its outputs.
 runtime::RunReport RunGoldenApp(const std::string& app, int gpus,
                                 std::string* sha256) {
   auto platform = sim::MakeSupercomputerNode(4);
@@ -319,8 +329,9 @@ runtime::RunReport RunGoldenApp(const std::string& app, int gpus,
   runtime::RunReport report;
   if (app == "md") {
     std::vector<float> force;
-    report = apps::RunMdAcc(apps::MakeMdInput(1024, 12), *platform, gpus,
-                            &force);
+    const apps::MdInput input = apps::MakeMdInput(1024, 12);
+    report = gpus == 0 ? apps::RunMdOpenMp(input, *platform, &force)
+                       : apps::RunMdAcc(input, *platform, gpus, &force);
     HashBytes(hash, force);
   } else if (app == "kmeans" || app == "kmeans_o0") {
     // At opt level 1 the mid-end fuses kmeans' two kernels into one;
@@ -328,29 +339,35 @@ runtime::RunReport RunGoldenApp(const std::string& app, int gpus,
     translator::CompileOptions copts;
     copts.opt_level = app == "kmeans" ? 1 : 0;
     apps::KmeansResult result;
-    report = apps::RunKmeansAcc(apps::MakeKmeansInput(1500, 6, 4, 3),
-                                *platform, gpus, &result, {}, copts);
+    const apps::KmeansInput input = apps::MakeKmeansInput(1500, 6, 4, 3);
+    report = gpus == 0 ? apps::RunKmeansOpenMp(input, *platform, &result)
+                       : apps::RunKmeansAcc(input, *platform, gpus, &result,
+                                            {}, copts);
     HashBytes(hash, result.centroids);
     HashBytes(hash, result.membership);
   } else if (app == "heat2d") {
     std::vector<float> u;
-    report = apps::RunHeat2dAcc(apps::MakeHeat2dInput(48, 20, 4), *platform,
-                                gpus, &u);
+    const apps::Heat2dInput input = apps::MakeHeat2dInput(48, 20, 4);
+    report = gpus == 0 ? apps::RunHeat2dOpenMp(input, *platform, &u)
+                       : apps::RunHeat2dAcc(input, *platform, gpus, &u);
     HashBytes(hash, u);
   } else if (app == "lattice") {
     std::vector<float> phi;
-    report = apps::RunLatticeAcc(apps::MakeLatticeInput(48, 20, 4),
-                                 *platform, gpus, &phi);
+    const apps::LatticeInput input = apps::MakeLatticeInput(48, 20, 4);
+    report = gpus == 0 ? apps::RunLatticeOpenMp(input, *platform, &phi)
+                       : apps::RunLatticeAcc(input, *platform, gpus, &phi);
     HashBytes(hash, phi);
   } else if (app == "spmv") {
     std::vector<float> y;
-    report = apps::RunSpmvAcc(apps::MakeSpmvInput(1200, 9), *platform, gpus,
-                              &y);
+    const apps::SpmvInput input = apps::MakeSpmvInput(1200, 9);
+    report = gpus == 0 ? apps::RunSpmvOpenMp(input, *platform, &y)
+                       : apps::RunSpmvAcc(input, *platform, gpus, &y);
     HashBytes(hash, y);
   } else if (app == "bfs") {
     std::vector<std::int32_t> cost;
-    report = apps::RunBfsAcc(apps::MakeBfsInput(1500, 8), *platform, gpus,
-                             &cost);
+    const apps::BfsInput input = apps::MakeBfsInput(1500, 8);
+    report = gpus == 0 ? apps::RunBfsOpenMp(input, *platform, &cost)
+                       : apps::RunBfsAcc(input, *platform, gpus, &cost);
     HashBytes(hash, cost);
   } else {
     ADD_FAILURE() << "unknown app " << app;
@@ -379,10 +396,20 @@ TEST_P(GoldenCountsTest, KernelStatsAndOutputMatchPinnedValues) {
     observed << "{\"" << k.name << "\", " << k.instructions << ", "
              << k.bytes_read << ", " << k.bytes_written << "}, ";
   }
-  observed << "}},";
+  const double host_compute_s = report.time[sim::TimeCategory::kHostCompute];
+  observed << "}";
+  if (expected.gpus == 0) {
+    char seconds[32];
+    std::snprintf(seconds, sizeof(seconds), "%.17g", host_compute_s);
+    observed << ", " << seconds;
+  }
+  observed << "},";
   EXPECT_EQ(sha256, expected.output_sha256) << observed.str();
   if (!expected.kernels.empty()) {
     EXPECT_EQ(kernels, expected.kernels) << observed.str();
+  }
+  if (expected.host_compute_s != 0) {
+    EXPECT_EQ(host_compute_s, expected.host_compute_s) << observed.str();
   }
 }
 
@@ -462,6 +489,26 @@ const std::vector<GoldenCase>& GoldenCases() {
       {"bfs", 4,
        "8945b7effe7b6398c369e042b2c6cf789e343505c9fa9bbecfa0262043c7738b",
        {}},
+      // The OpenMP (CPU) baseline, captured before its launch and
+      // reduction fold moved onto the shared host runner.
+      {"md", 0,
+       "ffcd504728a42c2c794b047b93d54879fe25873a49a5fdc425b0901fd9018dcf",
+       {}, 2.6849384615384615e-05},
+      {"kmeans", 0,
+       "0ff62bee333bce5f5fd00d245069462bcc137985710a08d705446248b0146219",
+       {}, 0.0001313516923076923},
+      {"heat2d", 0,
+       "1f3a8f1163a08a6e8421e60509228f4c4cb210f79885c165d8609b4702032a74",
+       {}, 1.2395076923076923e-05},
+      {"lattice", 0,
+       "f1b2e1f48984fcbdd4a7e4f6e92841dd2802d6da3a1de3f4b598801f9a8963a3",
+       {}, 1.4758153846153848e-05},
+      {"spmv", 0,
+       "6f8e703ace360741229b6857858f98415322011d39e59803332c0ed292c4aa21",
+       {}, 8.3999999999999992e-06},
+      {"bfs", 0,
+       "8945b7effe7b6398c369e042b2c6cf789e343505c9fa9bbecfa0262043c7738b",
+       {}},
   };
   return cases;
 }
@@ -469,7 +516,7 @@ const std::vector<GoldenCase>& GoldenCases() {
 INSTANTIATE_TEST_SUITE_P(
     Apps, GoldenCountsTest, ::testing::ValuesIn(GoldenCases()),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      return info.param.app + "_" + std::to_string(info.param.gpus) + "gpu";
+      return GoldenCaseName(info.param);
     });
 
 }  // namespace

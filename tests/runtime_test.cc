@@ -993,18 +993,28 @@ void ExpectHostIndependent(
   }
 }
 
+// The float-reduction cases run once more with the validator on: its golden
+// run shares the platform's worker pool, and its bit-exact comparison must
+// hold at every worker count.
 TEST(HostIndependenceTest, KmeansFloatArrayReductions) {
   const apps::KmeansInput input = apps::MakeKmeansInput(1024, 34, 5, 3, 7);
-  ExpectHostIndependent(
-      [&](sim::Platform& platform, int gpus) {
-        apps::KmeansResult result;
-        HostRun run;
-        run.report = apps::RunKmeansAcc(input, platform, gpus, &result);
-        AppendBytes(run.output, result.centroids);
-        AppendBytes(run.output, result.membership);
-        return run;
-      },
-      {1, 2, 3});
+  for (const bool validate : {false, true}) {
+    SCOPED_TRACE(validate ? "validated" : "not validated");
+    ExpectHostIndependent(
+        [&](sim::Platform& platform, int gpus) {
+          ExecOptions options;
+          options.validate = validate;
+          apps::KmeansResult result;
+          HostRun run;
+          run.report =
+              apps::RunKmeansAcc(input, platform, gpus, &result, options);
+          EXPECT_EQ(run.report.validator.kernels_checked > 0, validate);
+          AppendBytes(run.output, result.centroids);
+          AppendBytes(run.output, result.membership);
+          return run;
+        },
+        {1, 2, 3});
+  }
 }
 
 TEST(HostIndependenceTest, FloatScalarSum) {
@@ -1028,20 +1038,25 @@ void fsum(int n, float* a, float* out) {
     a[static_cast<std::size_t>(i)] =
         static_cast<float>(i * 7919 % 1000) * 0.37f + (i % 13 == 0 ? 1e4f : 0);
   }
-  ExpectHostIndependent(
-      [&](sim::Platform& platform, int gpus) {
-        std::vector<float> out(1, 0);
-        ProgramRunner runner(program,
-                             RunConfig{.platform = &platform, .num_gpus = gpus});
-        runner.BindArray("a", a.data(), ir::ValType::kF32, kN);
-        runner.BindArray("out", out.data(), ir::ValType::kF32, 1);
-        runner.BindScalar("n", static_cast<std::int64_t>(kN));
-        HostRun run;
-        run.report = runner.Run("fsum");
-        AppendBytes(run.output, out);
-        return run;
-      },
-      {1, 2, 3});
+  for (const bool validate : {false, true}) {
+    SCOPED_TRACE(validate ? "validated" : "not validated");
+    ExpectHostIndependent(
+        [&](sim::Platform& platform, int gpus) {
+          std::vector<float> out(1, 0);
+          RunConfig config{.platform = &platform, .num_gpus = gpus};
+          config.options.validate = validate;
+          ProgramRunner runner(program, config);
+          runner.BindArray("a", a.data(), ir::ValType::kF32, kN);
+          runner.BindArray("out", out.data(), ir::ValType::kF32, 1);
+          runner.BindScalar("n", static_cast<std::int64_t>(kN));
+          HostRun run;
+          run.report = runner.Run("fsum");
+          EXPECT_EQ(run.report.validator.kernels_checked, validate ? 1u : 0u);
+          AppendBytes(run.output, out);
+          return run;
+        },
+        {1, 2, 3});
+  }
 }
 
 TEST(HostIndependenceTest, Bfs) {

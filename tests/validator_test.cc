@@ -7,11 +7,15 @@
 //     shadow execution catches both residency faults (when the static
 //     check is bypassed) and injected stale-replica corruption that the
 //     coherence machinery cannot see;
-//   * all four applications run divergence-free under validation on
-//     multi-GPU configurations.
+//   * a one-ulp perturbation of a float reduction is a divergence: the
+//     golden run replays the executor's launch geometry and fold order;
+//   * all four applications run divergence-free under validation on 1, 2
+//     and 4 GPUs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <string>
 
@@ -356,6 +360,149 @@ void f(int n, int m, int* a, int* b) {
 }
 
 // ---------------------------------------------------------------------------
+// Bit-exact reductions: the golden run replays the executor's launches and
+// fold order, so a one-ulp difference in a float reduction is a divergence.
+// ---------------------------------------------------------------------------
+
+// The HostIndependenceTest.FloatScalarSum program and data: magnitudes far
+// apart, so every change of summation order rounds differently.
+constexpr char kFloatSum[] = R"(
+void fsum(int n, float* a, float* out) {
+  float s = 0.0f;
+  #pragma acc data copyin(a[0:n]) copyout(out[0:1])
+  {
+    #pragma acc parallel loop reduction(+:s)
+    for (int i = 0; i < n; i++) { s = s + a[i]; }
+  }
+  out[0] = s;
+}
+)";
+
+constexpr char kFloatHistogram[] = R"(
+void hist(int n, int* bins, float* w, float* h) {
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) {
+    #pragma acc reductiontoarray(+: h[0:8])
+    h[bins[i]] += w[i];
+  }
+}
+)";
+
+std::vector<float> OrderSensitiveFloats(int n) {
+  std::vector<float> a(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    a[static_cast<std::size_t>(i)] =
+        static_cast<float>(i * 7919 % 1000) * 0.37f + (i % 13 == 0 ? 1e4f : 0);
+  }
+  return a;
+}
+
+float NextUp(float x) {
+  return std::nextafter(x, std::numeric_limits<float>::infinity());
+}
+
+/// Runs the one offload of `program` on GPUs {0, 1} between the capture and
+/// the check of a directly driven Validator, and lets `nudge` perturb the
+/// multi-GPU result in between. Returns the check's error message, or ""
+/// when the check passes.
+std::string CheckNudged(
+    sim::Platform& platform, const AccProgram& program, std::int64_t n,
+    const ArrayResolver& resolve,
+    const std::function<void(const translator::LoopOffload&,
+                             translator::HostEnv&)>& nudge) {
+  const translator::CompiledFunction& fn = program.compiled().functions[0];
+  const translator::LoopOffload& offload = fn.offloads.at(0);
+  translator::HostEnv env;
+  for (const auto& param : fn.function->params) {
+    if (!param->type.is_pointer) {
+      env.SetScalar(*param, translator::TypedValue::OfInt(n));
+    }
+  }
+  for (const auto& red : offload.scalar_reds) {
+    env.SetScalar(*red.decl,
+                  translator::TypedValue::OfDouble(0.0, ir::ValType::kF32));
+  }
+  Executor executor(platform, ExecOptions{}, {0, 1});
+  Validator validator(platform);
+  validator.BeginOffload(offload, env, resolve);
+  executor.RunOffload(offload, env, resolve);
+  nudge(offload, env);
+  // The executor's default schedule: the paper's equal split, no
+  // interior/boundary split.
+  const LaunchGeometry geometry{{Range{0, n / 2}, Range{n / 2, n}}, {{}, {}}};
+  try {
+    validator.CheckOffload(offload, env, resolve, geometry, {0, 1});
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ValidatorTest, OneUlpReductionDivergenceIsReported) {
+  constexpr int kN = 4096;
+  const std::vector<float> w = OrderSensitiveFloats(kN);
+  std::vector<std::int32_t> bins(kN);
+  for (int i = 0; i < kN; ++i) bins[static_cast<std::size_t>(i)] = i * 5 % 8;
+  const AccProgram sum = AccProgram::FromSource("fsum", kFloatSum);
+  const AccProgram hist = AccProgram::FromSource("hist", kFloatHistogram);
+
+  for (const bool nudge : {false, true}) {
+    SCOPED_TRACE(nudge ? "nudged by one ulp" : "as computed");
+    auto platform = sim::MakeSupercomputerNode(3);
+    {
+      std::vector<float> a = w, out(1, 0.0f);
+      ManagedArray ma("a", ir::ValType::kF32, kN, a.data(), 3);
+      ManagedArray mout("out", ir::ValType::kF32, 1, out.data(), 3);
+      const std::string error = CheckNudged(
+          *platform, sum, kN,
+          [&](const frontend::VarDecl& decl) -> ManagedArray& {
+            return decl.name == "a" ? ma : mout;
+          },
+          [&](const translator::LoopOffload& offload,
+              translator::HostEnv& env) {
+            if (!nudge) return;
+            const frontend::VarDecl& s = *offload.scalar_reds[0].decl;
+            env.SetScalar(s, translator::TypedValue::OfDouble(
+                                 NextUp(static_cast<float>(
+                                     env.GetScalar(s).AsDouble())),
+                                 ir::ValType::kF32));
+          });
+      if (nudge) {
+        EXPECT_NE(error.find("scalar reduction 's' diverges"),
+                  std::string::npos)
+            << error;
+      } else {
+        EXPECT_EQ(error, "");
+      }
+    }
+    {
+      std::vector<std::int32_t> b = bins;
+      std::vector<float> weights = w, h(8, 0.5f);
+      ManagedArray mbins("bins", ir::ValType::kI32, kN, b.data(), 3);
+      ManagedArray mw("w", ir::ValType::kF32, kN, weights.data(), 3);
+      ManagedArray mh("h", ir::ValType::kF32, 8, h.data(), 3);
+      const std::string error = CheckNudged(
+          *platform, hist, kN,
+          [&](const frontend::VarDecl& decl) -> ManagedArray& {
+            return decl.name == "bins" ? mbins : decl.name == "w" ? mw : mh;
+          },
+          [&](const translator::LoopOffload&, translator::HostEnv&) {
+            if (!nudge) return;
+            float& element = mh.shard(0).data->Typed<float>()[3];
+            element = NextUp(element);
+          });
+      if (nudge) {
+        EXPECT_NE(error.find("array 'h' diverges at element 3 on device 0"),
+                  std::string::npos)
+            << error;
+      } else {
+        EXPECT_EQ(error, "");
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // All applications, divergence-free under validation
 // ---------------------------------------------------------------------------
 
@@ -379,23 +526,33 @@ TEST_P(ValidatedAppsTest, MdRunsClean) {
   }
 }
 
+// kmeans' float reductions are compared bit for bit, so the golden run must
+// replay each schedule's launch geometry: BSP, the async pipeline and the
+// measured mapper's proportional split.
 TEST_P(ValidatedAppsTest, KmeansRunsClean) {
   const int gpus = GetParam();
-  auto platform = sim::MakeSupercomputerNode(4);
-  ExecOptions options;
-  options.validate = true;
   const apps::KmeansInput input = apps::MakeKmeansInput(600, 4, 3, 5);
   const apps::KmeansResult expected = apps::KmeansReference(input);
-  apps::KmeansResult result;
-  const RunReport report =
-      apps::RunKmeansAcc(input, *platform, gpus, &result, options);
-  EXPECT_GT(report.validator.kernels_checked, 0u);
-  EXPECT_EQ(report.validator.divergences, 0u);
-  EXPECT_EQ(result.membership, expected.membership);
-  for (std::size_t i = 0; i < result.centroids.size(); ++i) {
-    EXPECT_NEAR(result.centroids[i], expected.centroids[i],
-                2e-3 * (1.0 + std::fabs(expected.centroids[i])))
-        << "centroid component " << i;
+  for (const char* schedule : {"bsp", "async", "measured"}) {
+    SCOPED_TRACE(schedule);
+    auto platform = sim::MakeSupercomputerNode(4);
+    ExecOptions options;
+    options.validate = true;
+    options.async_pipeline = std::string(schedule) == "async";
+    if (std::string(schedule) == "measured") {
+      options.mapper = TaskMapper::kMeasured;
+    }
+    apps::KmeansResult result;
+    const RunReport report =
+        apps::RunKmeansAcc(input, *platform, gpus, &result, options);
+    EXPECT_GT(report.validator.kernels_checked, 0u);
+    EXPECT_EQ(report.validator.divergences, 0u);
+    EXPECT_EQ(result.membership, expected.membership);
+    for (std::size_t i = 0; i < result.centroids.size(); ++i) {
+      EXPECT_NEAR(result.centroids[i], expected.centroids[i],
+                  2e-3 * (1.0 + std::fabs(expected.centroids[i])))
+          << "centroid component " << i;
+    }
   }
 }
 
@@ -433,7 +590,7 @@ TEST_P(ValidatedAppsTest, SpmvRunsClean) {
 }
 
 INSTANTIATE_TEST_SUITE_P(GpuCounts, ValidatedAppsTest,
-                         ::testing::Values(2, 4));
+                         ::testing::Values(1, 2, 4));
 
 }  // namespace
 }  // namespace accmg::runtime
