@@ -1,6 +1,7 @@
 // Saturation benchmark for the resident service (src/service/): how much
 // does the compiled-program cache buy under a stream of jobs, and does
-// per-job billing stay exact when jobs run through the shared platform?
+// per-job billing stay exact when jobs run concurrently through one
+// service?
 //
 // Two phases, both emitted as machine-readable JSON:
 //
@@ -11,13 +12,13 @@
 //    compile, N-1 cache hits). The jobs/sec ratio is the cache's win;
 //    the acceptance bar is warm >= 3x cold on the 2-GPU platform.
 //
-// 2. Billing identity: a mix of builtin-app jobs runs once in isolation
-//    (fresh platform per job, classic RunConfig) and once concurrently
-//    through one shared service; each concurrent job's billed bytes and
-//    transfer counts must be bit-identical to its isolated run. This is
-//    the end-to-end check of per-device counter attribution
-//    (sim::Platform::device_counters + RunConfig::shared_platform).
-//    Any mismatch fails the process.
+// 2. Billing identity: a mix of builtin-app jobs runs concurrently through
+//    one service, and then each job runs once more in isolation (fresh
+//    platform, ordinary RunConfig) on the device ids its lease had. Each
+//    concurrent job's billed bytes, transfer counts and simulated
+//    total_seconds must be bit-identical to its isolated run. This is the
+//    end-to-end check that every service job accounts on its own fork of
+//    the platform (sim::Platform::Fork). Any mismatch fails the process.
 //
 // Usage: bench_serve_saturation [--quick] [--out=<path>]
 //   --quick  fewer jobs (CI smoke)
@@ -30,16 +31,14 @@
 #include <string>
 #include <vector>
 
-#include "apps/bfs/bfs.h"
-#include "apps/kmeans/kmeans.h"
-#include "apps/md/md.h"
-#include "apps/spmv/spmv.h"
 #include "bench/bench_common.h"
 #include "common/stopwatch.h"
 #include "ir/ir.h"
+#include "runtime/program.h"
 #include "service/builtin_apps.h"
 #include "service/service.h"
 #include "sim/platform.h"
+#include "sim/topology.h"
 
 namespace accmg {
 namespace {
@@ -157,10 +156,12 @@ struct IdentityRow {
   int gpus = 0;
   std::uint64_t sequential_bytes = 0, concurrent_bytes = 0;
   std::uint64_t sequential_transfers = 0, concurrent_transfers = 0;
+  double sequential_total_seconds = 0, concurrent_total_seconds = 0;
 
   bool Identical() const {
     return sequential_bytes == concurrent_bytes &&
-           sequential_transfers == concurrent_transfers;
+           sequential_transfers == concurrent_transfers &&
+           sequential_total_seconds == concurrent_total_seconds;
   }
 };
 
@@ -171,27 +172,32 @@ std::uint64_t TotalTransfers(const sim::PlatformCounters& c) {
   return c.h2d_transfers + c.d2h_transfers + c.p2p_transfers;
 }
 
-/// Isolated baseline: the classic one-shot path on a fresh platform.
-sim::PlatformCounters IsolatedRun(const std::string& app, int gpus) {
-  auto platform = sim::MakeSupercomputerNode(4);
-  if (app == "md") {
-    const apps::MdInput input = apps::MakeMdInput(512, 12);
-    std::vector<float> force;
-    return apps::RunMdAcc(input, *platform, gpus, &force).counters;
-  }
-  if (app == "kmeans") {
-    const apps::KmeansInput input = apps::MakeKmeansInput(800, 4, 4, 7);
-    apps::KmeansResult result;
-    return apps::RunKmeansAcc(input, *platform, gpus, &result).counters;
-  }
-  if (app == "bfs") {
-    const apps::BfsInput input = apps::MakeBfsInput(1000, 4);
-    std::vector<std::int32_t> cost;
-    return apps::RunBfsAcc(input, *platform, gpus, &cost).counters;
-  }
-  const apps::SpmvInput input = apps::MakeSpmvInput(600, 8);
-  std::vector<float> y;
-  return apps::RunSpmvAcc(input, *platform, gpus, &y).counters;
+/// The 4-GPU node both sides of the identity check run on, with a
+/// one-thread worker pool: bfs's kernel has racing reads, so on a wider
+/// pool its simulated time depends on how its chunks interleave (two
+/// isolated runs already differ in the 7th digit), while on one worker
+/// every launch's chunks run in grid order.
+std::unique_ptr<sim::Platform> MakeIdentityNode() {
+  return std::make_unique<sim::Platform>(
+      std::vector<sim::DeviceSpec>(4, sim::TeslaM2050()),
+      sim::SupercomputerTopology(4), sim::DualXeonNode(),
+      /*worker_threads=*/1);
+}
+
+/// Isolated baseline: `request` alone through the ordinary runner on a
+/// fresh node, on exactly `devices`.
+runtime::RunReport IsolatedRun(const service::JobRequest& request,
+                               const std::vector<int>& devices) {
+  const runtime::AccProgram program = runtime::AccProgram::FromSource(
+      request.name, request.source, request.compile_options);
+  auto platform = MakeIdentityNode();
+  runtime::RunConfig config;
+  config.platform = platform.get();
+  config.devices = devices;
+  config.options = request.exec_options;
+  runtime::ProgramRunner runner(program, config);
+  request.bind(runner);
+  return runner.Run(request.function);
 }
 
 std::vector<IdentityRow> MeasureBillingIdentity() {
@@ -204,35 +210,29 @@ std::vector<IdentityRow> MeasureBillingIdentity() {
       {"spmv", 2}, {"md", 1},    {"spmv", 1},
   };
 
-  std::vector<IdentityRow> rows;
-  for (const JobSpec& spec : specs) {
-    IdentityRow row;
-    row.app = spec.app;
-    row.gpus = spec.gpus;
-    const sim::PlatformCounters baseline = IsolatedRun(spec.app, spec.gpus);
-    row.sequential_bytes = TotalBytes(baseline);
-    row.sequential_transfers = TotalTransfers(baseline);
-    rows.push_back(row);
-  }
+  auto options_of = [](const JobSpec& spec) {
+    service::AppJobOptions options;
+    options.app = spec.app;
+    options.gpus = spec.gpus;
+    return options;
+  };
 
-  // Concurrent: every job in flight at once on one shared 4-GPU platform.
-  auto platform = sim::MakeSupercomputerNode(4);
+  // Concurrent: every job in flight at once on one 4-GPU platform.
+  auto platform = MakeIdentityNode();
   service::AccService::Config config;
   config.platform = platform.get();
   config.workers = 3;
   service::AccService service(config);
   std::vector<int> ids;
   for (const JobSpec& spec : specs) {
-    service::AppJobOptions options;
-    options.app = spec.app;
-    options.gpus = spec.gpus;
-    const int id = service.Submit(service::MakeAppJob(options));
+    const int id = service.Submit(service::MakeAppJob(options_of(spec)));
     if (id < 0) {
       std::cerr << "bench_serve_saturation: identity job rejected\n";
       std::exit(1);
     }
     ids.push_back(id);
   }
+  std::vector<IdentityRow> rows;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const service::JobResult result = service.Wait(ids[i]);
     if (result.state != service::JobState::kDone) {
@@ -240,8 +240,19 @@ std::vector<IdentityRow> MeasureBillingIdentity() {
                 << "\n";
       std::exit(1);
     }
-    rows[i].concurrent_bytes = TotalBytes(result.report.counters);
-    rows[i].concurrent_transfers = TotalTransfers(result.report.counters);
+    // Sequential: the same job alone, on the device ids of its lease.
+    const runtime::RunReport alone =
+        IsolatedRun(service::MakeAppJob(options_of(specs[i])), result.devices);
+    IdentityRow row;
+    row.app = specs[i].app;
+    row.gpus = specs[i].gpus;
+    row.sequential_bytes = TotalBytes(alone.counters);
+    row.concurrent_bytes = TotalBytes(result.report.counters);
+    row.sequential_transfers = TotalTransfers(alone.counters);
+    row.concurrent_transfers = TotalTransfers(result.report.counters);
+    row.sequential_total_seconds = alone.total_seconds;
+    row.concurrent_total_seconds = result.report.total_seconds;
+    rows.push_back(row);
   }
   return rows;
 }
@@ -266,6 +277,10 @@ std::string ToJson(const std::vector<SaturationRow>& saturation,
                            .Set("concurrent_bytes", r.concurrent_bytes)
                            .Set("sequential_transfers", r.sequential_transfers)
                            .Set("concurrent_transfers", r.concurrent_transfers)
+                           .Set("sequential_total_seconds",
+                                r.sequential_total_seconds)
+                           .Set("concurrent_total_seconds",
+                                r.concurrent_total_seconds)
                            .Set("identical", r.Identical()));
   }
   return bench::JsonValue::Object()

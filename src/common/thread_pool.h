@@ -1,7 +1,7 @@
 // A fixed-size worker pool with blocking batch entry points. Each
-// sim::Platform owns one, shared by the virtual GPU kernel engine (every
-// chunk of every launch of a batch is one task), the runtime's element-wise
-// passes and the CPU "OpenMP" baseline executor.
+// sim::Platform and its forks share one, used by the virtual GPU kernel
+// engine (every chunk of every launch of a batch is one task), the
+// runtime's element-wise passes and the CPU "OpenMP" baseline executor.
 #pragma once
 
 #include <condition_variable>

@@ -249,7 +249,7 @@ void Executor::RunOffloadWithRecovery(const LoopOffload& offload,
   int transient_retries = 0;
   for (;;) {
     CheckInterrupts();
-    const std::uint64_t injected_before = faults.injected();
+    const std::uint64_t injected_before = platform_.injected_faults();
     try {
       RunOffloadAttempt(offload, env, resolve);
       return;
@@ -257,7 +257,8 @@ void Executor::RunOffloadWithRecovery(const LoopOffload& offload,
       // Attribute this attempt's injected faults to exactly one recovery
       // bucket below; the delta can be 0 when a dead device merely echoed
       // its earlier loss.
-      const std::uint64_t delta = faults.injected() - injected_before;
+      const std::uint64_t delta =
+          platform_.injected_faults() - injected_before;
 
       // Roll back before deciding anything: partial writes from the failed
       // attempt must never leak into the retry or the caller.

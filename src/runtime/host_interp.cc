@@ -168,27 +168,7 @@ RunReport HostInterpreter::Run() {
   trace::JobScope job_scope(runner_.config_.options.job_id);
   trace::Span run_span("run:" + fn_.function->name, trace::category::kHost);
   sim::Platform& platform = *runner_.config_.platform;
-
-  // On a shared platform other jobs' accounting must survive this run, so
-  // instead of resetting we snapshot and bill deltas (see RunConfig).
-  const bool shared = runner_.config_.shared_platform;
-  sim::TimeBreakdown time_before;
-  // Billing is keyed on the ORIGINAL lease: fault recovery may shrink the
-  // executor's device set mid-run, and a dead device's counters stopped
-  // advancing at its death, so the full-lease delta stays exact.
-  std::vector<int> lease_devices;
-  std::vector<sim::PlatformCounters> device_before;
-  if (shared) {
-    time_before = platform.clock().breakdown();
-    if (gpu_ != nullptr) {
-      lease_devices = gpu_->devices();
-      for (const int d : lease_devices) {
-        device_before.push_back(platform.device_counters(d));
-      }
-    }
-  } else {
-    platform.ResetAccounting();
-  }
+  platform.ResetAccounting();
   report_ = RunReport{};
   if (gpu_ != nullptr) gpu_->BeginRun();
 
@@ -222,23 +202,8 @@ RunReport HostInterpreter::Run() {
     }
   }
 
-  if (shared) {
-    report_.time = platform.clock().breakdown();
-    for (std::size_t c = 0; c < report_.time.seconds.size(); ++c) {
-      report_.time.seconds[c] -= time_before.seconds[c];
-    }
-    // Per-device deltas over the lease: exact billing even while other
-    // jobs run on the remaining devices (sim::Platform::device_counters).
-    if (gpu_ != nullptr) {
-      for (std::size_t i = 0; i < lease_devices.size(); ++i) {
-        report_.counters +=
-            platform.device_counters(lease_devices[i]) - device_before[i];
-      }
-    }
-  } else {
-    report_.time = platform.clock().breakdown();
-    report_.counters = platform.counters();
-  }
+  report_.time = platform.clock().breakdown();
+  report_.counters = platform.counters();
   report_.total_seconds = report_.time.Total();
   if (gpu_ != nullptr) {
     report_.loader = gpu_->loader().stats();

@@ -64,24 +64,18 @@ class AccProgram {
 };
 
 struct RunConfig {
-  sim::Platform* platform = nullptr;  ///< required
-  int num_gpus = 1;                   ///< devices [0, num_gpus)
-  bool use_cpu = false;               ///< run the "OpenMP" CPU baseline
+  /// Required. Run() resets its clock and counters and bills the report
+  /// from them, so two runs at once need two platforms (sim::Platform::Fork).
+  sim::Platform* platform = nullptr;
+  int num_gpus = 1;      ///< devices [0, num_gpus)
+  bool use_cpu = false;  ///< run the "OpenMP" CPU baseline
 
   /// Explicit device ids to run on; when non-empty it overrides `num_gpus`
   /// and the run uses exactly these devices. The resident service leases
   /// disjoint subsets of one long-lived platform to concurrent jobs
-  /// (service/arena.h) and passes each job's lease here.
+  /// (service/arena.h) and runs each on its own sim::Platform::Fork(), with
+  /// the job's lease here.
   std::vector<int> devices;
-
-  /// Run against a platform shared with other jobs: skip the global
-  /// ResetAccounting() and bill the report from snapshot deltas of the
-  /// per-device counters of `devices` instead of the global counters.
-  /// With disjoint leases the billed bytes/transfer counts are exact
-  /// (sim::Platform::device_counters); the TimeBreakdown is this job's
-  /// window over the shared clock, so wall-style comparisons across
-  /// concurrent jobs should use counters, not time.
-  bool shared_platform = false;
 
   ExecOptions options;
 };

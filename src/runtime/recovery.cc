@@ -80,17 +80,17 @@ bool RetryTransient(sim::Platform& platform, const std::string& what,
 
 double RetryTransfer(sim::Platform& platform, const char* what,
                      const std::function<double()>& op) {
-  const sim::FaultInjector& faults = platform.faults();
   int retries = 0;
   for (;;) {
-    const std::uint64_t injected_before = faults.injected();
+    const std::uint64_t injected_before = platform.injected_faults();
     try {
       return op();
     } catch (const FaultError&) {
       // DeviceLostError is retryable here too: the transfer is idempotent
       // (billing precedes the memcpy) and a retried gather prefers replicas
       // on alive devices, so losing one source mid-gather is survivable.
-      if (!RetryTransient(platform, what, faults.injected() - injected_before,
+      if (!RetryTransient(platform, what,
+                          platform.injected_faults() - injected_before,
                           retries)) {
         throw;
       }

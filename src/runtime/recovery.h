@@ -5,7 +5,8 @@
 //  * RecoveryMetrics — the recovery.* registry counters. Every injected
 //    fault is attributed to exactly one of retries / degraded / failures
 //    at the catch point that handles it (delta accounting against
-//    FaultInjector::injected()), so the acceptance identity
+//    sim::Platform::injected_faults(), which counts only the faults the
+//    run's own platform raised), so the acceptance identity
 //      fault.injected == recovery.retries + recovery.degraded
 //                        + recovery.failures
 //    holds at all times.

@@ -7,11 +7,10 @@
 // jobs (head-of-line blocking is the accepted cost of that guarantee; the
 // admission controller, not the arena, is where smarter policies belong).
 //
-// Leases hand out *disjoint* device-id sets. That disjointness is what makes
-// per-job billing exact on a shared platform: every byte a job moves lands
-// in sim::Platform::device_counters() of a device only that job owns, so
-// snapshot deltas over the lease attribute traffic with no cross-talk
-// (RunConfig::shared_platform).
+// Leases hand out *disjoint* device-id sets. That disjointness is what lets
+// jobs run at once: each job runs on its own sim::Platform::Fork() and
+// touches only its leased devices, so no two jobs share a device's memory,
+// and each job's clock and counters see only its own work.
 //
 // Health (docs/ROBUSTNESS.md): MarkDead revokes a device permanently — it
 // is never granted again (a busy dead device finishes its current lease

@@ -351,11 +351,14 @@ void AccService::RunAttempt(
   }
   result.devices = lease.devices();
 
+  // The attempt accounts on its own fork: the leased devices, the pool and
+  // the fault injector are shared, the clock and counters are the job's.
+  // The fork outlives the runner, which on_finish still reads.
+  const std::unique_ptr<sim::Platform> platform = config_.platform->Fork();
   runtime::RunConfig run_config;
-  run_config.platform = config_.platform;
+  run_config.platform = platform.get();
   run_config.num_gpus = gpus;
   run_config.devices = lease.devices();
-  run_config.shared_platform = true;
   run_config.options = job.request.exec_options;
   run_config.options.job_id = job.id;
   run_config.options.cancel = &running.cancel;
@@ -363,14 +366,7 @@ void AccService::RunAttempt(
   trace::JobScope job_scope(job.id);
   runtime::ProgramRunner runner(*program, run_config);
   if (job.request.bind) job.request.bind(runner);
-
-  {
-    // The shared SimClock admits one execution at a time (service.h);
-    // billing exactness comes from the per-device counters, not from
-    // this lock.
-    std::lock_guard<std::mutex> run_lock(run_mutex_);
-    result.report = runner.Run(job.request.function);
-  }
+  result.report = runner.Run(job.request.function);
 
   const sim::PlatformCounters& c = result.report.counters;
   ServiceMetrics::Get().billed_bytes.Add(c.h2d_bytes + c.d2h_bytes +

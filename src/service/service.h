@@ -7,18 +7,18 @@
 //   Submit ──> JobQueue (bounded; per-tenant round-robin; same-hash
 //              batching) ──> worker pops a batch ──> ProgramCache
 //              (one compile per batch key) ──> DeviceArena lease
-//              (disjoint devices) ──> ProgramRunner::Run in
-//              shared-platform mode ──> per-job billing + trace export.
+//              (disjoint devices) ──> ProgramRunner::Run on a fork of
+//              the platform ──> per-job billing + trace export.
 //
-// Concurrency contract: admission, compilation and host-array binding all
-// run concurrently across workers, but the simulated executions themselves
-// are serialized on one mutex — the SimClock is a single global timeline
-// whose Barrier() assumes no in-flight billing (sim/platform.h), so
-// interleaving two Run() calls would corrupt simulated *time*. Billing
-// exactness does NOT depend on that serialization: it comes from snapshot
-// deltas of per-device counters over each job's disjoint lease
-// (RunConfig::shared_platform), which is what the billing-identity test
-// and bench_serve_saturation verify.
+// Concurrency contract: everything — admission, compilation, binding and
+// the simulated executions — runs concurrently across workers. Each
+// execution attempt runs on its own sim::Platform::Fork(): the fork shares
+// the devices, the worker pool and the fault injector, and has its own
+// SimClock (starting at 0) and counters. A job touches only its leased
+// devices, and leases are disjoint, so a job's report — simulated time,
+// bytes, transfers and kernel launches — is bit-identical to the same job
+// run alone on those device ids, however many jobs run beside it. The
+// billing-identity test and bench_serve_saturation verify exactly that.
 //
 // Robustness (docs/ROBUSTNESS.md): every device lease is RAII
 // (DeviceArena::Lease releases on destruction), so no exception path in a
@@ -159,10 +159,6 @@ class AccService {
   std::condition_variable job_done_;
   std::unordered_map<int, JobResult> jobs_;  ///< state + eventual result
   int next_job_id_ = 0;
-
-  /// Serializes ProgramRunner::Run on the shared SimClock (see file
-  /// comment); everything before Run runs concurrently.
-  std::mutex run_mutex_;
 
   mutable std::mutex running_mutex_;
   std::condition_variable watchdog_wake_;

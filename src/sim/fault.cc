@@ -165,7 +165,8 @@ double FaultInjector::DrawUniform(FaultSite site, int device,
   return static_cast<double>(SplitMix64(tmp) >> 11) * 0x1.0p-53;
 }
 
-double FaultInjector::OnOperation(FaultSite site, int device) {
+double FaultInjector::OnOperation(FaultSite site, int device,
+                                  std::uint64_t* injected) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!armed_.load(std::memory_order_relaxed)) return 1.0;
   ACCMG_CHECK(device >= 0 && device < num_devices_,
@@ -202,6 +203,7 @@ double FaultInjector::OnOperation(FaultSite site, int device) {
       dead_[static_cast<std::size_t>(device)] = 1;
       ++deaths_;
       ++injected_;
+      if (injected != nullptr) ++*injected;
       m.injected.Add();
       m.device_lost.Add();
       throw DeviceLostError(
@@ -215,6 +217,7 @@ double FaultInjector::OnOperation(FaultSite site, int device) {
   threshold += site_fail_p;
   if (u < threshold) {
     ++injected_;
+    if (injected != nullptr) ++*injected;
     m.injected.Add();
     const std::string what = std::string("injected transient ") +
                              FaultSiteName(site) + " fault on device " +

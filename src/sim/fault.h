@@ -78,8 +78,9 @@ struct FaultPlan {
   static FaultPlan Chaos(std::uint64_t seed);
 };
 
-/// The platform-owned injector. Thread-safe: concurrent service jobs call
-/// OnOperation through Bill* and LaunchKernels.
+/// The injector a platform and its forks share. Thread-safe: concurrent
+/// service jobs call OnOperation through their forks' Bill* and
+/// LaunchKernels.
 class FaultInjector {
  public:
   /// Arms the plan for a platform with `num_devices` devices. Resets all
@@ -97,8 +98,11 @@ class FaultInjector {
   /// Consulted by the platform before executing an operation at `site` on
   /// `device`. Returns the duration multiplier to apply (1.0 normally,
   /// plan.stall_factor for a stalled operation) or throws a typed error.
-  /// Must only be called while armed.
-  double OnOperation(FaultSite site, int device);
+  /// When it raises a new fault (not an echo) it also increments
+  /// `*injected`, if given — how each Platform counts the faults its own
+  /// operations raised. Must only be called while armed.
+  double OnOperation(FaultSite site, int device,
+                     std::uint64_t* injected = nullptr);
 
   /// True when `device` has not been lost (always true while disarmed).
   bool alive(int device) const;

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "common/error.h"
@@ -148,34 +147,18 @@ PlatformCounters& PlatformCounters::operator+=(const PlatformCounters& other) {
   return *this;
 }
 
-PlatformCounters PlatformCounters::operator-(
-    const PlatformCounters& earlier) const {
-  PlatformCounters delta;
-  delta.kernel_launches = kernel_launches - earlier.kernel_launches;
-  delta.h2d_transfers = h2d_transfers - earlier.h2d_transfers;
-  delta.d2h_transfers = d2h_transfers - earlier.d2h_transfers;
-  delta.p2p_transfers = p2p_transfers - earlier.p2p_transfers;
-  delta.h2d_bytes = h2d_bytes - earlier.h2d_bytes;
-  delta.d2h_bytes = d2h_bytes - earlier.d2h_bytes;
-  delta.p2p_bytes = p2p_bytes - earlier.p2p_bytes;
-  return delta;
-}
-
 Platform::Platform(std::vector<DeviceSpec> gpus, TopologyConfig topology,
                    CpuSpec host, std::size_t worker_threads)
-    : topology_(std::move(topology)),
-      host_(std::move(host)),
-      workers_(worker_threads) {
+    : shared_(std::make_shared<Shared>(std::move(topology), std::move(host),
+                                       worker_threads)) {
   ACCMG_REQUIRE(!gpus.empty(), "platform needs at least one GPU");
-  ACCMG_REQUIRE(topology_.io_group.size() == gpus.size(),
+  ACCMG_REQUIRE(shared_->topology.io_group.size() == gpus.size(),
                 "topology io_group size must match GPU count");
-  const int groups = topology_.num_io_groups();
-  io_root_resources_.reserve(static_cast<std::size_t>(groups));
+  const int groups = shared_->topology.num_io_groups();
   for (int g = 0; g < groups; ++g) {
-    io_root_resources_.push_back(
+    shared_->io_root_resources.push_back(
         clock_.NewResource("io_root" + std::to_string(g)));
   }
-  devices_.reserve(gpus.size());
   for (std::size_t d = 0; d < gpus.size(); ++d) {
     const auto compute =
         clock_.NewResource("gpu" + std::to_string(d) + ".compute");
@@ -183,32 +166,43 @@ Platform::Platform(std::vector<DeviceSpec> gpus, TopologyConfig topology,
     const auto async_dma =
         clock_.NewResource("gpu" + std::to_string(d) + ".dma_async");
     PublishSpecMetrics(gpus[d], static_cast<int>(d));
-    devices_.push_back(std::make_unique<Device>(static_cast<int>(d),
-                                                std::move(gpus[d]), compute,
-                                                dma, async_dma));
+    shared_->devices.push_back(std::make_unique<Device>(
+        static_cast<int>(d), std::move(gpus[d]), compute, dma, async_dma));
   }
-  PublishSpecMetrics(host_);
-  device_counters_.resize(devices_.size());
+  PublishSpecMetrics(shared_->host);
 }
 
-const PlatformCounters& Platform::device_counters(int id) const {
-  ACCMG_REQUIRE(id >= 0 && id < num_devices(), "bad device id");
-  return device_counters_[static_cast<std::size_t>(id)];
+Platform::Platform(std::shared_ptr<Shared> shared, SimClock clock)
+    : shared_(std::move(shared)), clock_(std::move(clock)) {}
+
+std::unique_ptr<Platform> Platform::Fork() const {
+  // The copied clock keeps every registered resource, so the devices' and
+  // IO roots' resource ids stay valid on the fork.
+  SimClock clock = clock_;
+  clock.Reset();
+  return std::unique_ptr<Platform>(new Platform(shared_, std::move(clock)));
 }
 
 Device& Platform::device(int id) {
   ACCMG_REQUIRE(id >= 0 && id < num_devices(), "bad device id");
-  return *devices_[static_cast<std::size_t>(id)];
+  return *shared_->devices[static_cast<std::size_t>(id)];
 }
 
 const Device& Platform::device(int id) const {
   ACCMG_REQUIRE(id >= 0 && id < num_devices(), "bad device id");
-  return *devices_[static_cast<std::size_t>(id)];
+  return *shared_->devices[static_cast<std::size_t>(id)];
 }
 
 std::vector<SimClock::Resource> Platform::RootResources(int device_id) const {
-  const int group = topology_.io_group[static_cast<std::size_t>(device_id)];
-  return {io_root_resources_[static_cast<std::size_t>(group)]};
+  const TopologyConfig& topology = shared_->topology;
+  const int group = topology.io_group[static_cast<std::size_t>(device_id)];
+  return {shared_->io_root_resources[static_cast<std::size_t>(group)]};
+}
+
+double Platform::CheckFault(FaultSite site, int device) {
+  FaultInjector& faults = shared_->faults;
+  return faults.armed() ? faults.OnOperation(site, device, &injected_faults_)
+                        : 1.0;
 }
 
 double Platform::BillHostToDevice(int device_id, std::size_t bytes,
@@ -225,22 +219,14 @@ double Platform::BillHostLink(FaultSite site, int device_id,
                               std::size_t bytes, double ready_at) {
   if (bytes == 0) return clock_.Now();
   const bool h2d = site == FaultSite::kH2D;
-  double fault_mult = 1.0;
-  if (faults_.armed()) fault_mult = faults_.OnOperation(site, device_id);
+  const double fault_mult = CheckFault(site, device_id);
   auto resources = RootResources(device_id);
   resources.push_back(device(device_id).dma_resource());
   const double duration =
-      fault_mult * topology_.host_link.TransferSeconds(bytes);
-  double end;
-  {
-    std::lock_guard<std::mutex> lock(accounting_mutex_);
-    end = clock_.ScheduleAfter(resources, duration, ready_at);
-    for (PlatformCounters* c :
-         {&counters_, &device_counters_[static_cast<std::size_t>(device_id)]}) {
-      ++(h2d ? c->h2d_transfers : c->d2h_transfers);
-      (h2d ? c->h2d_bytes : c->d2h_bytes) += bytes;
-    }
-  }
+      fault_mult * shared_->topology.host_link.TransferSeconds(bytes);
+  const double end = clock_.ScheduleAfter(resources, duration, ready_at);
+  ++(h2d ? counters_.h2d_transfers : counters_.d2h_transfers);
+  (h2d ? counters_.h2d_bytes : counters_.d2h_bytes) += bytes;
   RecordSimSpan(
       [&] { return std::string(h2d ? "h2d " : "d2h ") + FormatBytes(bytes); },
       trace::category::kTransfer, device_id, end, duration);
@@ -255,52 +241,39 @@ double Platform::BillDeviceToDevice(int src_device, int dst_device,
                                     std::size_t bytes, double ready_at,
                                     Stream stream) {
   if (bytes == 0) return clock_.Now();
-  double fault_mult = 1.0;
-  if (faults_.armed()) {
-    // One decision keyed on the source device (which owns the transfer for
-    // billing); a destination-side death still surfaces because dead
-    // devices echo DeviceLostError on their next keyed operation.
-    fault_mult = faults_.OnOperation(FaultSite::kP2P, src_device);
-    if (!faults_.alive(dst_device)) {
-      throw DeviceLostError(dst_device,
-                            "device " + std::to_string(dst_device) +
-                                " is lost (p2p destination)");
-    }
+  // One decision keyed on the source device (which owns the transfer for
+  // billing); a destination-side death still surfaces because dead devices
+  // echo DeviceLostError on their next keyed operation.
+  const double fault_mult = CheckFault(FaultSite::kP2P, src_device);
+  if (shared_->faults.armed() && !shared_->faults.alive(dst_device)) {
+    throw DeviceLostError(dst_device, "device " + std::to_string(dst_device) +
+                                          " is lost (p2p destination)");
   }
   std::vector<SimClock::Resource> resources;
   resources.push_back(device(src_device).dma_resource(stream));
   if (src_device != dst_device) {
     resources.push_back(device(dst_device).dma_resource(stream));
   }
+  const TopologyConfig& topology = shared_->topology;
   for (auto r : RootResources(src_device)) resources.push_back(r);
-  if (topology_.io_group[static_cast<std::size_t>(src_device)] !=
-      topology_.io_group[static_cast<std::size_t>(dst_device)]) {
+  if (topology.io_group[static_cast<std::size_t>(src_device)] !=
+      topology.io_group[static_cast<std::size_t>(dst_device)]) {
     for (auto r : RootResources(dst_device)) resources.push_back(r);
   }
 
   double duration;
-  if (topology_.peer_dma || src_device == dst_device) {
-    duration = topology_.PeerLink(src_device, dst_device)
+  if (topology.peer_dma || src_device == dst_device) {
+    duration = topology.PeerLink(src_device, dst_device)
                    .TransferSeconds(bytes);
   } else {
     // Staged through host memory: down the source link, up the destination
     // link, serialized.
-    duration = 2 * topology_.host_link.TransferSeconds(bytes);
+    duration = 2 * topology.host_link.TransferSeconds(bytes);
   }
   duration *= fault_mult;
-  double end;
-  {
-    std::lock_guard<std::mutex> lock(accounting_mutex_);
-    end = clock_.ScheduleAfter(resources, duration, ready_at);
-    ++counters_.p2p_transfers;
-    counters_.p2p_bytes += bytes;
-    // P2P attribution: the source device owns the transfer. Jobs always
-    // exchange between their own devices, so either endpoint would do —
-    // the source matches how the DMA engine cost is carried.
-    auto& dev = device_counters_[static_cast<std::size_t>(src_device)];
-    ++dev.p2p_transfers;
-    dev.p2p_bytes += bytes;
-  }
+  const double end = clock_.ScheduleAfter(resources, duration, ready_at);
+  ++counters_.p2p_transfers;
+  counters_.p2p_bytes += bytes;
   RecordSimSpan(
       [&] {
         return "p2p " + std::to_string(src_device) + "->" +
@@ -371,17 +344,14 @@ void Platform::LaunchKernels(std::vector<DeviceLaunch>& batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (halted(i)) continue;
     try {
-      if (faults_.armed()) {
-        fault_mult[i] = faults_.OnOperation(FaultSite::kKernel,
-                                            batch[i].device_id);
-      }
+      fault_mult[i] = CheckFault(FaultSite::kKernel, batch[i].device_id);
       runnable.push_back(&batch[i]);
     } catch (...) {
       batch[i].error = std::current_exception();
     }
   }
 
-  RunChunks(workers_, runnable);
+  RunChunks(shared_->workers, runnable);
   SimMetrics& m = SimMetrics::Get();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (batch[i].error || halted(i)) continue;
@@ -395,14 +365,9 @@ void Platform::LaunchKernels(std::vector<DeviceLaunch>& batch) {
     const double duration =
         fault_mult[i] *
         (dev.spec().launch_overhead_s + std::max(compute_s, memory_s));
-    {
-      std::lock_guard<std::mutex> lock(accounting_mutex_);
-      dl.end_s = clock_.ScheduleAfter(dev.compute_resource(), duration,
-                                      dl.launch.ready_at);
-      ++counters_.kernel_launches;
-      ++device_counters_[static_cast<std::size_t>(dl.device_id)]
-            .kernel_launches;
-    }
+    dl.end_s = clock_.ScheduleAfter(dev.compute_resource(), duration,
+                                    dl.launch.ready_at);
+    ++counters_.kernel_launches;
     RecordSimSpan(
         [&] {
           return dl.launch.name.empty() ? std::string("kernel")
@@ -427,7 +392,7 @@ KernelStats Platform::LaunchKernel(int device_id, const KernelLaunch& launch) {
 void Platform::RunOnHost(std::vector<DeviceLaunch>& batch) {
   std::vector<DeviceLaunch*> launches;
   for (DeviceLaunch& dl : batch) launches.push_back(&dl);
-  RunChunks(workers_, launches);
+  RunChunks(shared_->workers, launches);
   for (const DeviceLaunch& dl : batch) {
     if (dl.error) std::rethrow_exception(dl.error);
   }
@@ -435,14 +400,13 @@ void Platform::RunOnHost(std::vector<DeviceLaunch>& batch) {
 
 std::size_t Platform::TotalPeakDeviceBytes() const {
   std::size_t total = 0;
-  for (const auto& dev : devices_) total += dev->peak_used_bytes();
+  for (const auto& dev : shared_->devices) total += dev->peak_used_bytes();
   return total;
 }
 
 void Platform::ResetAccounting() {
   clock_.Reset();
   counters_ = PlatformCounters{};
-  for (auto& dev : device_counters_) dev = PlatformCounters{};
 }
 
 std::unique_ptr<Platform> MakeDesktopMachine(int num_gpus) {

