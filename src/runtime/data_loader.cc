@@ -227,7 +227,7 @@ void DataLoader::EnsureSystemBuffers(const ArrayRequirement& req) {
               std::min(options_.dirty_chunk_bytes +
                            static_cast<std::size_t>(chunk_elems),
                        static_cast<std::size_t>(n) * (elem + 1));
-          shard.staging = platform_.device(device).Allocate(
+          shard.staging = platform_.device(device).Reserve(
               "sys:staging:" + array.name(), peers * per_peer);
         }
         shard.chunk_elems = chunk_elems;
@@ -244,7 +244,7 @@ void DataLoader::EnsureSystemBuffers(const ArrayRequirement& req) {
     }
     if (req.miss_checked) {
       if (shard.miss_capacity == nullptr) {
-        shard.miss_capacity = platform_.device(device).Allocate(
+        shard.miss_capacity = platform_.device(device).Reserve(
             "sys:miss:" + array.name(), kMissBufferBytes);
       }
       shard.miss.records.clear();

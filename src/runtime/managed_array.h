@@ -3,7 +3,8 @@
 // A ManagedArray tracks where the authoritative bytes currently live (host,
 // replicated on devices, or distributed across owner segments) and owns all
 // device allocations associated with the array: data segments ("User" memory
-// in the paper's Fig. 9) and dirty-bit / write-miss buffers ("System").
+// in the paper's Fig. 9) and dirty-bit buffers plus the staging and write-miss
+// reservations ("System").
 #pragma once
 
 #include <cstdint>
@@ -43,14 +44,18 @@ struct DeviceShard {
   bool valid = false;
 
   // System memory (replicated arrays only): two-level dirty bits plus the
-  // staging area used to receive peers' dirty chunks during the merge.
+  // staging area used to receive peers' dirty chunks during the merge. The
+  // merge applies chunks element-wise and bills the wire cost, so the
+  // staging area is accounted but never backed (sim::Reservation).
   std::unique_ptr<sim::DeviceBuffer> dirty1;
   std::unique_ptr<sim::DeviceBuffer> dirty2;
-  std::unique_ptr<sim::DeviceBuffer> staging;
+  std::unique_ptr<sim::Reservation> staging;
   std::int64_t chunk_elems = 0;
 
-  // System memory (distributed arrays with unproven writes): miss buffer.
-  std::unique_ptr<sim::DeviceBuffer> miss_capacity;
+  // System memory (distributed arrays with unproven writes): the device's
+  // write-miss buffer. Kernels record misses into `miss` on the host side,
+  // so its device capacity is accounted but never backed.
+  std::unique_ptr<sim::Reservation> miss_capacity;
   ir::MissBuffer miss;
 
   /// Frees every allocation held by this shard and resets it to the
@@ -106,7 +111,8 @@ class ManagedArray {
 
   /// Bytes currently allocated for user data across devices.
   std::size_t UserBytes() const;
-  /// Bytes currently allocated for runtime bookkeeping across devices.
+  /// Bytes currently allocated or reserved for runtime bookkeeping across
+  /// devices.
   std::size_t SystemBytes() const;
 
   /// Releases every device allocation and resets placement to host-only

@@ -43,9 +43,15 @@ class Device {
     return stream == Stream::kAsync ? async_dma_ : dma_;
   }
 
-  /// Allocates `bytes` of device memory. Throws DeviceError when the device
-  /// is out of memory (matches cudaMalloc failure).
+  /// Allocates `bytes` of uninitialised device memory (sim/buffer.h). Throws
+  /// DeviceError when the device is out of memory (matches cudaMalloc
+  /// failure).
   std::unique_ptr<DeviceBuffer> Allocate(std::string name, std::size_t bytes);
+
+  /// Charges `bytes` of device memory exactly as Allocate does, OOM included,
+  /// without backing them with host memory (sim/buffer.h).
+  std::unique_ptr<Reservation> Reserve(const std::string& name,
+                                       std::size_t bytes);
 
   std::size_t used_bytes() const { return used_bytes_; }
   std::size_t capacity_bytes() const { return spec_.memory_bytes; }
@@ -54,6 +60,10 @@ class Device {
 
  private:
   friend class DeviceBuffer;
+  friend class Reservation;
+  /// Adds `bytes` to the used and peak counts; throws DeviceError naming
+  /// `name` when they do not fit.
+  void Charge(const std::string& name, std::size_t bytes);
   void Release(std::size_t bytes);
 
   int id_;

@@ -21,6 +21,7 @@
 #include "common/metrics.h"
 #include "common/sha256.h"
 #include "runtime/options.h"
+#include "runtime/program.h"
 #include "sim/platform.h"
 
 namespace accmg {
@@ -319,12 +320,11 @@ void HashBytes(Sha256& hash, const std::vector<T>& values) {
   hash.Update(values.data(), values.size() * sizeof(T));
 }
 
-/// Runs `app` on a 4-GPU supercomputer node using `gpus` of its devices, or
-/// through its OpenMP baseline on the node's host when `gpus` is 0. Returns
-/// the report and fills `sha256` with the digest of its outputs.
-runtime::RunReport RunGoldenApp(const std::string& app, int gpus,
-                                std::string* sha256) {
-  auto platform = sim::MakeSupercomputerNode(4);
+/// Runs `app` on `platform` using `gpus` of its devices, or through its
+/// OpenMP baseline on the platform's host when `gpus` is 0. Returns the
+/// report and fills `sha256` with the digest of its outputs.
+runtime::RunReport RunGoldenApp(sim::Platform* platform, const std::string& app,
+                                int gpus, std::string* sha256) {
   Sha256 hash;
   runtime::RunReport report;
   if (app == "md") {
@@ -369,11 +369,49 @@ runtime::RunReport RunGoldenApp(const std::string& app, int gpus,
     report = gpus == 0 ? apps::RunBfsOpenMp(input, *platform, &cost)
                        : apps::RunBfsAcc(input, *platform, gpus, &cost);
     HashBytes(hash, cost);
+  } else if (app == "scatter") {
+    // Not a paper app: a reversal scatter through an index vector, so every
+    // cross-segment write is a write miss and each device reserves a miss
+    // buffer for `dst`.
+    static const runtime::AccProgram program =
+        runtime::AccProgram::FromSource("scatter", R"(
+void scatter(int n, int* perm, float* src, float* dst) {
+  #pragma acc data copyin(perm[0:n], src[0:n]) copy(dst[0:n])
+  {
+    #pragma acc localaccess(src: stride(1)) (dst: stride(1))
+    #pragma acc parallel loop
+    for (int i = 0; i < n; i++) { dst[perm[i]] = src[i]; }
+  }
+}
+)");
+    constexpr int n = 3000;
+    std::vector<std::int32_t> perm(n);
+    std::vector<float> src(n);
+    std::vector<float> dst(n, -1.0f);
+    for (int i = 0; i < n; ++i) {
+      perm[static_cast<std::size_t>(i)] = n - 1 - i;
+      src[static_cast<std::size_t>(i)] = static_cast<float>(i) * 0.5f;
+    }
+    runtime::ProgramRunner runner(
+        program, runtime::RunConfig{.platform = platform, .num_gpus = gpus});
+    runner.BindArray("perm", perm.data(), ir::ValType::kI32, n);
+    runner.BindArray("src", src.data(), ir::ValType::kF32, n);
+    runner.BindArray("dst", dst.data(), ir::ValType::kF32, n);
+    runner.BindScalar("n", static_cast<std::int64_t>(n));
+    report = runner.Run("scatter");
+    HashBytes(hash, dst);
   } else {
     ADD_FAILURE() << "unknown app " << app;
   }
   *sha256 = hash.HexDigest();
   return report;
+}
+
+/// RunGoldenApp on a 4-GPU supercomputer node.
+runtime::RunReport RunGoldenApp(const std::string& app, int gpus,
+                                std::string* sha256) {
+  auto platform = sim::MakeSupercomputerNode(4);
+  return RunGoldenApp(platform.get(), app, gpus, sha256);
 }
 
 class GoldenCountsTest : public ::testing::TestWithParam<GoldenCase> {};
@@ -517,6 +555,110 @@ INSTANTIATE_TEST_SUITE_P(
     Apps, GoldenCountsTest, ::testing::ValuesIn(GoldenCases()),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return GoldenCaseName(info.param);
+    });
+
+// ---------------------------------------------------------------------------
+// Golden device-memory accounting: the raw bytes behind Fig. 9. Every
+// device's high-water mark and the peak User/System split (the sum of every
+// array's UserBytes()/SystemBytes() at the sampled peak) are pinned, so a
+// change to how device memory is backed cannot move a figure the three
+// printed decimals of Fig. 9 would hide.
+// ---------------------------------------------------------------------------
+
+struct MemoryGoldenCase {
+  std::string app;
+  bool desktop = false;  ///< 2-GPU desktop; otherwise the 3-GPU node
+  int gpus = 0;
+  std::vector<std::size_t> device_peak_bytes;  ///< one per machine device
+  std::size_t peak_user_bytes = 0;
+  std::size_t peak_system_bytes = 0;
+};
+
+void PrintTo(const MemoryGoldenCase& c, std::ostream* os) {
+  *os << c.app << (c.desktop ? "/desktop/" : "/node/") << c.gpus;
+}
+
+class MemoryAccountingGoldenTest
+    : public ::testing::TestWithParam<MemoryGoldenCase> {};
+
+TEST_P(MemoryAccountingGoldenTest, DevicePeaksAndUserSystemSplitMatchPinned) {
+  const MemoryGoldenCase& expected = GetParam();
+  auto platform = expected.desktop ? sim::MakeDesktopMachine(2)
+                                   : sim::MakeSupercomputerNode(3);
+  std::string sha256;
+  const runtime::RunReport report =
+      RunGoldenApp(platform.get(), expected.app, expected.gpus, &sha256);
+  std::vector<std::size_t> peaks;
+  for (int d = 0; d < platform->num_devices(); ++d) {
+    peaks.push_back(platform->device(d).peak_used_bytes());
+    // Every allocation and reservation is given back when the run ends.
+    EXPECT_EQ(platform->device(d).used_bytes(), 0u) << "device " << d;
+  }
+  // On a mismatch, print the observed values in table form.
+  std::ostringstream observed;
+  observed << "{\"" << expected.app << "\", "
+           << (expected.desktop ? "true" : "false") << ", " << expected.gpus
+           << ", {";
+  for (std::size_t i = 0; i < peaks.size(); ++i) {
+    observed << (i == 0 ? "" : ", ") << peaks[i];
+  }
+  observed << "}, " << report.peak_user_bytes << ", "
+           << report.peak_system_bytes << "},";
+  EXPECT_EQ(peaks, expected.device_peak_bytes) << observed.str();
+  EXPECT_EQ(report.peak_user_bytes, expected.peak_user_bytes)
+      << observed.str();
+  EXPECT_EQ(report.peak_system_bytes, expected.peak_system_bytes)
+      << observed.str();
+}
+
+const std::vector<MemoryGoldenCase>& MemoryGoldenCases() {
+  static const std::vector<MemoryGoldenCase> cases = {
+      // Captured while every device buffer, the accounting-only staging and
+      // write-miss buffers included, was a zero-filled host allocation.
+      {"md", false, 1, {73728, 0, 0}, 73728, 0},
+      {"md", false, 2, {43008, 43008, 0}, 86016, 0},
+      {"md", false, 3, {32748, 32748, 32808}, 98304, 0},
+      {"md", true, 1, {73728, 0}, 73728, 0},
+      {"md", true, 2, {43008, 43008}, 86016, 0},
+      {"kmeans", false, 1, {42208, 0, 0}, 42208, 0},
+      {"kmeans", false, 2, {21208, 21208, 0}, 42416, 0},
+      {"kmeans", false, 3, {14208, 14208, 14208}, 42624, 0},
+      {"kmeans", true, 1, {42208, 0}, 42208, 0},
+      {"kmeans", true, 2, {21208, 21208}, 42416, 0},
+      {"heat2d", false, 1, {7680, 0, 0}, 7680, 0},
+      {"heat2d", false, 2, {3920, 3920, 0}, 7840, 0},
+      {"heat2d", false, 3, {2640, 2720, 2640}, 8000, 0},
+      {"heat2d", true, 1, {7680, 0}, 7680, 0},
+      {"heat2d", true, 2, {3920, 3920}, 7840, 0},
+      {"lattice", false, 1, {7680, 0, 0}, 7680, 0},
+      {"lattice", false, 2, {3920, 3920, 0}, 7840, 0},
+      {"lattice", false, 3, {2640, 2720, 2640}, 8000, 0},
+      {"lattice", true, 1, {7680, 0}, 7680, 0},
+      {"lattice", true, 2, {3920, 3920}, 7840, 0},
+      {"spmv", false, 1, {96000, 0, 0}, 96000, 0},
+      {"spmv", false, 2, {50400, 50400, 0}, 100800, 0},
+      {"spmv", false, 3, {35200, 35200, 35200}, 105600, 0},
+      {"spmv", true, 1, {96000, 0}, 96000, 0},
+      {"spmv", true, 2, {50400, 50400}, 100800, 0},
+      {"bfs", false, 1, {61511, 0, 0}, 60008, 1503},
+      {"bfs", false, 2, {42016, 42016, 0}, 66016, 18016},
+      {"bfs", false, 3, {40521, 40521, 40521}, 72024, 49539},
+      {"bfs", true, 1, {61511, 0}, 60008, 1503},
+      {"bfs", true, 2, {42016, 42016}, 66016, 18016},
+      {"scatter", false, 1, {4230304, 0, 0}, 36000, 4194304},
+      {"scatter", false, 2, {4218304, 4218304, 0}, 48000, 8388608},
+      {"scatter", false, 3, {4214304, 4214304, 4214304}, 60000, 12582912},
+      {"scatter", true, 1, {4230304, 0}, 36000, 4194304},
+      {"scatter", true, 2, {4218304, 4218304}, 48000, 8388608},
+  };
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, MemoryAccountingGoldenTest, ::testing::ValuesIn(MemoryGoldenCases()),
+    [](const ::testing::TestParamInfo<MemoryGoldenCase>& info) {
+      return info.param.app + (info.param.desktop ? "_desktop_" : "_node_") +
+             std::to_string(info.param.gpus) + "gpu";
     });
 
 }  // namespace

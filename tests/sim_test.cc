@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -417,6 +418,62 @@ TEST(PlatformTest, ForkSharesDevicesAndFaultsButNotAccounting) {
   fork->LaunchKernel(0, {.body = &noop, .num_threads = 1});
   EXPECT_EQ(fork->counters().kernel_launches, 2u);
   EXPECT_EQ(platform->counters(), parent_counters);
+}
+
+// A reservation is accounted exactly like an allocation of its size but
+// holds no host memory: it moves the used and peak counts as Allocate
+// does, gives them back when destroyed, fails on OOM with Allocate's
+// message, and, made through a fork, shows on the shared device.
+TEST(PlatformTest, ReservationChargesLikeAnAllocation) {
+  DeviceSpec spec = TeslaC2075();
+  spec.memory_bytes = 1 << 20;
+  Platform allocated({spec}, DesktopTopology(1), CoreI7Desktop(), 1);
+  Platform reserved({spec}, DesktopTopology(1), CoreI7Desktop(), 1);
+  Device& a = allocated.device(0);
+  Device& r = reserved.device(0);
+
+  auto buffer = a.Allocate("sys:miss:x", 4096);
+  auto reservation = r.Reserve("sys:miss:x", 4096);
+  EXPECT_EQ(reservation->size_bytes(), 4096u);
+  EXPECT_EQ(r.used_bytes(), 4096u);
+  {
+    auto second_buffer = a.Allocate("sys:staging:x", 1000);
+    auto second = r.Reserve("sys:staging:x", 1000);
+    EXPECT_EQ(r.used_bytes(), a.used_bytes());
+    EXPECT_EQ(r.peak_used_bytes(), a.peak_used_bytes());
+  }
+  EXPECT_EQ(r.used_bytes(), a.used_bytes());
+  EXPECT_EQ(r.peak_used_bytes(), a.peak_used_bytes());
+  EXPECT_EQ(r.peak_used_bytes(), 5096u);  // high-water mark survives
+  buffer.reset();
+  reservation.reset();
+  EXPECT_EQ(r.used_bytes(), 0u);
+  EXPECT_EQ(a.used_bytes(), 0u);
+
+  // Past capacity: the same DeviceError, word for word, and nothing taken.
+  std::string allocate_error;
+  std::string reserve_error;
+  try {
+    a.Allocate("sys:miss:y", a.capacity_bytes() + 1);
+  } catch (const DeviceError& e) {
+    allocate_error = e.what();
+  }
+  try {
+    r.Reserve("sys:miss:y", r.capacity_bytes() + 1);
+  } catch (const DeviceError& e) {
+    reserve_error = e.what();
+  }
+  EXPECT_NE(allocate_error, "");
+  EXPECT_EQ(reserve_error, allocate_error);
+  EXPECT_EQ(r.used_bytes(), 0u);
+
+  // A reservation made through a fork charges the shared device.
+  const std::unique_ptr<Platform> fork = reserved.Fork();
+  {
+    auto forked = fork->device(0).Reserve("sys:staging:z", 2048);
+    EXPECT_EQ(reserved.device(0).used_bytes(), 2048u);
+  }
+  EXPECT_EQ(reserved.device(0).used_bytes(), 0u);
 }
 
 TEST(PlatformTest, PresetsMatchTableOne) {
