@@ -6,6 +6,7 @@
 // precede.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -363,6 +364,42 @@ struct Program {
     return nullptr;
   }
 };
+
+// ---------------------------------------------------------------------------
+// Traversal: the one walk every analysis builds on
+// ---------------------------------------------------------------------------
+
+/// Calls `fn` on `expr` and then on each sub-expression, pre-order and left
+/// to right (a subscript's base before its index).
+void WalkExprs(const Expr& expr, const std::function<void(const Expr&)>& fn);
+
+/// Calls `fn` on `stmt` and then on each nested statement, pre-order. A
+/// for-loop's children are its init, step and body, in that order.
+void WalkStmts(const Stmt& stmt, const std::function<void(const Stmt&)>& fn);
+
+/// Shallow: walks (WalkExprs) the expressions `stmt` holds itself — a decl's
+/// initializer, an assignment's target then value, an expression statement,
+/// a return value, an if/for/while condition — and none of its nested
+/// statements. Absent parts (an empty statement, a missing for condition)
+/// are skipped. WalkStmts + ForEachExprInStmt therefore visits a for-loop
+/// as cond, init, step, body.
+void ForEachExprInStmt(const Stmt& stmt,
+                       const std::function<void(const Expr&)>& fn);
+
+/// How a statement touches an array element.
+enum class Access : int {
+  kRead,
+  kWrite,      ///< target of a plain assignment `a[i] = v`
+  kReadWrite,  ///< target of a compound assignment `a[i] += v`
+};
+
+/// Shallow, in ForEachExprInStmt order: calls `fn` for every subscript in
+/// the expressions `stmt` holds itself, classified. Only the subscript an
+/// assignment stores to is a write; every other one, including any inside
+/// that target's index, is a read.
+void ForEachArrayAccess(
+    const Stmt& stmt,
+    const std::function<void(const SubscriptExpr&, Access)>& fn);
 
 // ---------------------------------------------------------------------------
 // Convenience casts (checked in debug via kind)

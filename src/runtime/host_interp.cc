@@ -1,7 +1,6 @@
 #include "runtime/host_interp.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_set>
 
 #include "common/error.h"
@@ -17,7 +16,6 @@ using frontend::As;
 using frontend::DataClauseKind;
 using frontend::Directive;
 using frontend::DirectiveKind;
-using frontend::Expr;
 using frontend::ExprKind;
 using frontend::Stmt;
 using frontend::StmtKind;
@@ -27,92 +25,6 @@ using translator::EvalIndexExpr;
 using translator::HostArray;
 using translator::HostEnv;
 using translator::TypedValue;
-
-namespace {
-
-/// Collects the managed-array decls a host statement reads/writes (shallow:
-/// does not descend into nested statements — callers sync per statement).
-void CollectHostArrayUse(const Stmt& stmt,
-                         std::unordered_set<const VarDecl*>& reads,
-                         std::unordered_set<const VarDecl*>& writes) {
-  std::function<void(const Expr&)> walk = [&](const Expr& expr) {
-    switch (expr.kind) {
-      case ExprKind::kSubscript: {
-        const auto& s = As<frontend::SubscriptExpr>(expr);
-        reads.insert(As<frontend::VarRef>(*s.base).decl);
-        walk(*s.index);
-        break;
-      }
-      case ExprKind::kUnary:
-        walk(*As<frontend::UnaryExpr>(expr).operand);
-        break;
-      case ExprKind::kBinary:
-        walk(*As<frontend::BinaryExpr>(expr).lhs);
-        walk(*As<frontend::BinaryExpr>(expr).rhs);
-        break;
-      case ExprKind::kCall:
-        for (const auto& arg : As<frontend::CallExpr>(expr).args) walk(*arg);
-        break;
-      case ExprKind::kCast:
-        walk(*As<frontend::CastExpr>(expr).operand);
-        break;
-      case ExprKind::kConditional: {
-        const auto& c = As<frontend::ConditionalExpr>(expr);
-        walk(*c.cond);
-        walk(*c.then_expr);
-        walk(*c.else_expr);
-        break;
-      }
-      default:
-        break;
-    }
-  };
-  switch (stmt.kind) {
-    case StmtKind::kDecl:
-      if (As<frontend::DeclStmt>(stmt).init != nullptr) {
-        walk(*As<frontend::DeclStmt>(stmt).init);
-      }
-      break;
-    case StmtKind::kAssign: {
-      const auto& assign = As<frontend::AssignStmt>(stmt);
-      walk(*assign.value);
-      if (assign.target->kind == ExprKind::kSubscript) {
-        const auto& s = As<frontend::SubscriptExpr>(*assign.target);
-        writes.insert(As<frontend::VarRef>(*s.base).decl);
-        walk(*s.index);
-        if (assign.op != frontend::AssignOp::kAssign) {
-          reads.insert(As<frontend::VarRef>(*s.base).decl);
-        }
-      }
-      break;
-    }
-    case StmtKind::kExpr:
-      if (As<frontend::ExprStmt>(stmt).expr != nullptr) {
-        walk(*As<frontend::ExprStmt>(stmt).expr);
-      }
-      break;
-    case StmtKind::kIf:
-      walk(*As<frontend::IfStmt>(stmt).cond);
-      break;
-    case StmtKind::kFor: {
-      const auto& f = As<frontend::ForStmt>(stmt);
-      if (f.cond != nullptr) walk(*f.cond);
-      break;
-    }
-    case StmtKind::kWhile:
-      walk(*As<frontend::WhileStmt>(stmt).cond);
-      break;
-    case StmtKind::kReturn:
-      if (As<frontend::ReturnStmt>(stmt).value != nullptr) {
-        walk(*As<frontend::ReturnStmt>(stmt).value);
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-}  // namespace
 
 HostInterpreter::HostInterpreter(ProgramRunner& runner,
                                  const translator::CompiledFunction& fn)
@@ -595,13 +507,19 @@ void HostInterpreter::ApplyUpdate(const Directive& directive) {
 }
 
 void HostInterpreter::SyncForHostAccess(const Stmt& stmt) {
-  std::unordered_set<const VarDecl*> reads;
+  // Shallow: nested statements sync when they execute. Every array the
+  // statement touches is gathered; the ones it stores to become host-owned.
+  std::unordered_set<const VarDecl*> touched;
   std::unordered_set<const VarDecl*> writes;
-  CollectHostArrayUse(stmt, reads, writes);
-  for (const VarDecl* decl : writes) reads.insert(decl);
+  frontend::ForEachArrayAccess(
+      stmt, [&](const frontend::SubscriptExpr& sub, frontend::Access access) {
+        const VarDecl* decl = As<frontend::VarRef>(*sub.base).decl;
+        touched.insert(decl);
+        if (access != frontend::Access::kRead) writes.insert(decl);
+      });
   bool moved = false;
   double end = runner_.config_.platform->clock().Now();
-  for (const VarDecl* decl : reads) {
+  for (const VarDecl* decl : touched) {
     ManagedArray* array = FindManaged(*decl);
     if (array == nullptr) continue;
     if (!array->host_valid()) {

@@ -37,7 +37,9 @@ struct ExecOptions {
   /// Second-level dirty-bit chunk size (paper Section IV-D1 picks 1 MB).
   std::size_t dirty_chunk_bytes = 1 << 20;
 
-  /// Logical CUDA block size used for grid geometry.
+  /// Logical CUDA block size, passed on to sim::KernelLaunch::block_size.
+  /// Only checked there to be positive: neither the launch's chunk grid nor
+  /// the cost model reads it.
   int block_size = 256;
 
   /// Task mapper (see TaskMapper above).

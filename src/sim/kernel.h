@@ -99,7 +99,10 @@ class LambdaKernel final : public KernelBody {
 struct KernelLaunch {
   KernelBody* body = nullptr;
   std::int64_t num_threads = 0;
-  int block_size = 256;     ///< logical CUDA block size (grid geometry)
+  /// Logical CUDA block size. The platform only checks that it is
+  /// positive: the chunk grid depends on num_threads alone, and the cost
+  /// model does not read it.
+  int block_size = 256;
   std::string name;         ///< for logs and error messages
   /// Earliest simulated start time (a dependence on earlier operations'
   /// end times). 0 = no constraint beyond the device's compute resource;

@@ -1,7 +1,6 @@
 #include "translator/check.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -15,6 +14,7 @@
 namespace accmg::translator {
 
 using accmg::CompileError;
+using frontend::Access;
 using frontend::As;
 using frontend::Directive;
 using frontend::Expr;
@@ -303,97 +303,6 @@ struct SubscriptUse {
   bool write_only = false;  ///< pure store target (never read back)
 };
 
-void CollectSubscripts(const Expr& expr, bool write_only,
-                       std::vector<SubscriptUse>& uses) {
-  switch (expr.kind) {
-    case ExprKind::kSubscript: {
-      const auto& s = As<frontend::SubscriptExpr>(expr);
-      uses.push_back(SubscriptUse{&s, write_only});
-      CollectSubscripts(*s.index, false, uses);  // index is a read context
-      break;
-    }
-    case ExprKind::kUnary:
-      CollectSubscripts(*As<frontend::UnaryExpr>(expr).operand, false, uses);
-      break;
-    case ExprKind::kBinary:
-      CollectSubscripts(*As<frontend::BinaryExpr>(expr).lhs, false, uses);
-      CollectSubscripts(*As<frontend::BinaryExpr>(expr).rhs, false, uses);
-      break;
-    case ExprKind::kCall:
-      for (const auto& arg : As<frontend::CallExpr>(expr).args) {
-        CollectSubscripts(*arg, false, uses);
-      }
-      break;
-    case ExprKind::kCast:
-      CollectSubscripts(*As<frontend::CastExpr>(expr).operand, false, uses);
-      break;
-    case ExprKind::kConditional: {
-      const auto& c = As<frontend::ConditionalExpr>(expr);
-      CollectSubscripts(*c.cond, false, uses);
-      CollectSubscripts(*c.then_expr, false, uses);
-      CollectSubscripts(*c.else_expr, false, uses);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void CollectStmtSubscripts(const Stmt& stmt, std::vector<SubscriptUse>& uses) {
-  switch (stmt.kind) {
-    case StmtKind::kDecl:
-      if (As<frontend::DeclStmt>(stmt).init != nullptr) {
-        CollectSubscripts(*As<frontend::DeclStmt>(stmt).init, false, uses);
-      }
-      break;
-    case StmtKind::kAssign: {
-      const auto& assign = As<frontend::AssignStmt>(stmt);
-      // A pure-assign subscript target is write-only; a compound op
-      // (a[x] += v) also reads the element, so it counts as a read.
-      CollectSubscripts(*assign.target,
-                        assign.op == frontend::AssignOp::kAssign, uses);
-      CollectSubscripts(*assign.value, false, uses);
-      break;
-    }
-    case StmtKind::kExpr:
-      if (As<frontend::ExprStmt>(stmt).expr != nullptr) {
-        CollectSubscripts(*As<frontend::ExprStmt>(stmt).expr, false, uses);
-      }
-      break;
-    case StmtKind::kIf: {
-      const auto& s = As<frontend::IfStmt>(stmt);
-      CollectSubscripts(*s.cond, false, uses);
-      CollectStmtSubscripts(*s.then_stmt, uses);
-      if (s.else_stmt != nullptr) CollectStmtSubscripts(*s.else_stmt, uses);
-      break;
-    }
-    case StmtKind::kFor: {
-      const auto& s = As<ForStmt>(stmt);
-      if (s.init != nullptr) CollectStmtSubscripts(*s.init, uses);
-      if (s.cond != nullptr) CollectSubscripts(*s.cond, false, uses);
-      if (s.step != nullptr) CollectStmtSubscripts(*s.step, uses);
-      CollectStmtSubscripts(*s.body, uses);
-      break;
-    }
-    case StmtKind::kWhile:
-      CollectSubscripts(*As<frontend::WhileStmt>(stmt).cond, false, uses);
-      CollectStmtSubscripts(*As<frontend::WhileStmt>(stmt).body, uses);
-      break;
-    case StmtKind::kCompound:
-      for (const auto& child : As<frontend::CompoundStmt>(stmt).body) {
-        CollectStmtSubscripts(*child, uses);
-      }
-      break;
-    case StmtKind::kReturn:
-      if (As<frontend::ReturnStmt>(stmt).value != nullptr) {
-        CollectSubscripts(*As<frontend::ReturnStmt>(stmt).value, false, uses);
-      }
-      break;
-    default:
-      break;
-  }
-}
-
 std::string WindowText(const ArrayConfig& config) {
   auto term = [](const Expr* e, const char* name, const char* dflt) {
     std::int64_t v;
@@ -432,7 +341,12 @@ void CheckOffloadDirectives(const LoopOffload& offload,
 
   BoundsCollector bounds(offload);
   std::vector<SubscriptUse> uses;
-  CollectStmtSubscripts(*offload.loop->body, uses);
+  frontend::WalkStmts(*offload.loop->body, [&](const Stmt& stmt) {
+    frontend::ForEachArrayAccess(
+        stmt, [&](const frontend::SubscriptExpr& sub, Access access) {
+          uses.push_back(SubscriptUse{&sub, access == Access::kWrite});
+        });
+  });
 
   for (const auto& config : offload.arrays) {
     if (!config.has_localaccess) continue;
@@ -577,45 +491,15 @@ bool ProveWritesRowLocal(const LoopOffload& offload,
 
   // Collect every store index of this array (plain and compound assigns).
   std::vector<const Expr*> write_indices;
-  std::function<void(const Stmt&)> walk = [&](const Stmt& stmt) {
-    switch (stmt.kind) {
-      case StmtKind::kAssign: {
-        const auto& assign = As<frontend::AssignStmt>(stmt);
-        if (assign.target->kind == ExprKind::kSubscript) {
-          const auto& sub = As<frontend::SubscriptExpr>(*assign.target);
-          if (sub.base->kind == ExprKind::kVarRef &&
+  frontend::WalkStmts(*offload.loop->body, [&](const Stmt& stmt) {
+    frontend::ForEachArrayAccess(
+        stmt, [&](const frontend::SubscriptExpr& sub, Access access) {
+          if (access != Access::kRead &&
               As<frontend::VarRef>(*sub.base).decl == config.decl) {
             write_indices.push_back(sub.index.get());
           }
-        }
-        break;
-      }
-      case StmtKind::kIf: {
-        const auto& s = As<frontend::IfStmt>(stmt);
-        walk(*s.then_stmt);
-        if (s.else_stmt != nullptr) walk(*s.else_stmt);
-        break;
-      }
-      case StmtKind::kFor: {
-        const auto& s = As<ForStmt>(stmt);
-        if (s.init != nullptr) walk(*s.init);
-        if (s.step != nullptr) walk(*s.step);
-        walk(*s.body);
-        break;
-      }
-      case StmtKind::kWhile:
-        walk(*As<frontend::WhileStmt>(stmt).body);
-        break;
-      case StmtKind::kCompound:
-        for (const auto& child : As<frontend::CompoundStmt>(stmt).body) {
-          walk(*child);
-        }
-        break;
-      default:
-        break;
-    }
-  };
-  walk(*offload.loop->body);
+        });
+  });
   if (write_indices.empty()) return false;
 
   for (const Expr* index_expr : write_indices) {

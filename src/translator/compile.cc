@@ -1,5 +1,5 @@
 #include <algorithm>
-#include <functional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/error.h"
@@ -12,6 +12,7 @@
 
 namespace accmg::translator {
 
+using frontend::Access;
 using frontend::As;
 using accmg::CompileError;
 using frontend::Directive;
@@ -19,119 +20,19 @@ using frontend::DirectiveKind;
 using frontend::Expr;
 using frontend::ExprKind;
 using frontend::ForStmt;
+using frontend::ForEachArrayAccess;
+using frontend::ForEachExprInStmt;
 using frontend::Function;
 using frontend::Stmt;
 using frontend::StmtKind;
 using frontend::VarDecl;
+using frontend::WalkStmts;
 
 namespace {
 
 [[noreturn]] void Fail(frontend::SourceLocation loc,
                        const std::string& message) {
   throw CompileError(loc.ToString() + ": " + message);
-}
-
-// --- generic AST walking helpers -------------------------------------------
-
-void WalkExprs(const Expr& expr, const std::function<void(const Expr&)>& fn) {
-  fn(expr);
-  switch (expr.kind) {
-    case ExprKind::kSubscript: {
-      const auto& s = As<frontend::SubscriptExpr>(expr);
-      WalkExprs(*s.base, fn);
-      WalkExprs(*s.index, fn);
-      break;
-    }
-    case ExprKind::kUnary:
-      WalkExprs(*As<frontend::UnaryExpr>(expr).operand, fn);
-      break;
-    case ExprKind::kBinary:
-      WalkExprs(*As<frontend::BinaryExpr>(expr).lhs, fn);
-      WalkExprs(*As<frontend::BinaryExpr>(expr).rhs, fn);
-      break;
-    case ExprKind::kCall:
-      for (const auto& arg : As<frontend::CallExpr>(expr).args) {
-        WalkExprs(*arg, fn);
-      }
-      break;
-    case ExprKind::kCast:
-      WalkExprs(*As<frontend::CastExpr>(expr).operand, fn);
-      break;
-    case ExprKind::kConditional: {
-      const auto& c = As<frontend::ConditionalExpr>(expr);
-      WalkExprs(*c.cond, fn);
-      WalkExprs(*c.then_expr, fn);
-      WalkExprs(*c.else_expr, fn);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void WalkStmts(const Stmt& stmt, const std::function<void(const Stmt&)>& fn) {
-  fn(stmt);
-  switch (stmt.kind) {
-    case StmtKind::kIf: {
-      const auto& s = As<frontend::IfStmt>(stmt);
-      WalkStmts(*s.then_stmt, fn);
-      if (s.else_stmt != nullptr) WalkStmts(*s.else_stmt, fn);
-      break;
-    }
-    case StmtKind::kFor: {
-      const auto& s = As<frontend::ForStmt>(stmt);
-      if (s.init != nullptr) WalkStmts(*s.init, fn);
-      if (s.step != nullptr) WalkStmts(*s.step, fn);
-      WalkStmts(*s.body, fn);
-      break;
-    }
-    case StmtKind::kWhile:
-      WalkStmts(*As<frontend::WhileStmt>(stmt).body, fn);
-      break;
-    case StmtKind::kCompound:
-      for (const auto& child : As<frontend::CompoundStmt>(stmt).body) {
-        WalkStmts(*child, fn);
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-void ForEachExprInStmt(const Stmt& stmt,
-                       const std::function<void(const Expr&)>& fn) {
-  switch (stmt.kind) {
-    case StmtKind::kDecl:
-      if (As<frontend::DeclStmt>(stmt).init != nullptr) {
-        WalkExprs(*As<frontend::DeclStmt>(stmt).init, fn);
-      }
-      break;
-    case StmtKind::kAssign:
-      WalkExprs(*As<frontend::AssignStmt>(stmt).target, fn);
-      WalkExprs(*As<frontend::AssignStmt>(stmt).value, fn);
-      break;
-    case StmtKind::kExpr:
-      WalkExprs(*As<frontend::ExprStmt>(stmt).expr, fn);
-      break;
-    case StmtKind::kIf:
-      WalkExprs(*As<frontend::IfStmt>(stmt).cond, fn);
-      break;
-    case StmtKind::kFor:
-      if (As<frontend::ForStmt>(stmt).cond != nullptr) {
-        WalkExprs(*As<frontend::ForStmt>(stmt).cond, fn);
-      }
-      break;
-    case StmtKind::kWhile:
-      WalkExprs(*As<frontend::WhileStmt>(stmt).cond, fn);
-      break;
-    case StmtKind::kReturn:
-      if (As<frontend::ReturnStmt>(stmt).value != nullptr) {
-        WalkExprs(*As<frontend::ReturnStmt>(stmt).value, fn);
-      }
-      break;
-    default:
-      break;
-  }
 }
 
 // --- canonical loop form ----------------------------------------------------
@@ -198,6 +99,67 @@ CanonicalLoop ExtractCanonicalLoop(const ForStmt& loop) {
     Fail(loop.loc, "parallel loop step must be i++ or i += 1 (unit stride)");
   }
   return canonical;
+}
+
+// --- array access summaries --------------------------------------------------
+
+/// Folds index expressions into one summary coeff*i + [min_off, max_off];
+/// it holds when every index noted is affine with the same coefficient.
+struct AffineSummary {
+  bool used = false;   ///< at least one index was noted
+  bool affine = true;  ///< every index so far is coeff*i + b
+  std::int64_t coeff = 0;
+  std::int64_t min_off = 0;
+  std::int64_t max_off = 0;
+
+  void Note(const Expr& index, const VarDecl& induction) {
+    std::int64_t a, b;
+    if (!MatchAffine(index, induction, &a, &b) || (used && a != coeff)) {
+      affine = false;
+    } else if (!used) {
+      coeff = a;
+      min_off = max_off = b;
+    } else {
+      min_off = std::min(min_off, b);
+      max_off = std::max(max_off, b);
+    }
+    used = true;
+  }
+  bool Holds() const { return used && affine; }
+};
+
+/// One array's read and write indexes over a loop body.
+struct ArrayIndexes {
+  AffineSummary reads;
+  AffineSummary writes;
+};
+
+/// The write-locality proof (Section IV-D2) that removes the write-miss
+/// check: every store to the distributed array stays inside its own
+/// iteration's localaccess window.
+bool WritesProvenLocal(const LoopOffload& offload, const ArrayConfig& config) {
+  if (config.cols != nullptr) {
+    // 2-D row-block window: index = i*cols + j has no constant coefficient
+    // for the affine matcher, so prove row locality symbolically (index -
+    // cols*i within [0, cols-1]) with the directive checker's polynomial
+    // machinery.
+    return ProveWritesRowLocal(offload, config);
+  }
+  std::int64_t stride = 1, left = 0, right = 0;
+  if (config.stride != nullptr && !TryFoldConstant(*config.stride, &stride)) {
+    return false;
+  }
+  if (config.left != nullptr && !TryFoldConstant(*config.left, &left)) {
+    return false;
+  }
+  if (config.right != nullptr && !TryFoldConstant(*config.right, &right)) {
+    return false;
+  }
+  // Only arrays whose every store is a bounded affine subscript inside the
+  // window are proven local.
+  return config.has_affine_writes && config.write_coeff == stride &&
+         config.write_min_off >= -left &&
+         config.write_max_off <= stride - 1 + right;
 }
 
 // --- offload construction ----------------------------------------------------
@@ -315,9 +277,9 @@ class FunctionCompiler {
     std::vector<const VarDecl*> scalar_order;
     std::unordered_set<int> seen_arrays;
     std::unordered_set<int> seen_scalars;
-    std::unordered_set<int> written_arrays;
-    std::unordered_set<int> read_arrays;
     std::unordered_set<int> written_scalars;
+    // Every array's read and write indexes, from one pass over the body.
+    std::unordered_map<int, ArrayIndexes> indexes;
 
     auto note_expr = [&](const Expr& e) {
       if (e.kind != ExprKind::kVarRef) return;
@@ -335,67 +297,26 @@ class FunctionCompiler {
     };
     WalkStmts(*loop.body, [&](const Stmt& s) {
       ForEachExprInStmt(s, note_expr);
+      ForEachArrayAccess(s, [&](const frontend::SubscriptExpr& sub,
+                                Access access) {
+        ArrayIndexes& array =
+            indexes[As<frontend::VarRef>(*sub.base).decl->id];
+        // A compound-assignment target loads before it stores: both.
+        if (access != Access::kWrite) {
+          array.reads.Note(*sub.index, *offload.induction);
+        }
+        if (access != Access::kRead) {
+          array.writes.Note(*sub.index, *offload.induction);
+        }
+      });
       if (s.kind == StmtKind::kAssign) {
         const auto& assign = As<frontend::AssignStmt>(s);
-        if (assign.target->kind == ExprKind::kSubscript) {
-          const auto& base = As<frontend::VarRef>(
-              *As<frontend::SubscriptExpr>(*assign.target).base);
-          written_arrays.insert(base.decl->id);
-          if (assign.op != frontend::AssignOp::kAssign) {
-            read_arrays.insert(base.decl->id);
-          }
-        } else if (assign.target->kind == ExprKind::kVarRef) {
+        if (assign.target->kind == ExprKind::kVarRef) {
           const auto& ref = As<frontend::VarRef>(*assign.target);
           if (!declared_inside.contains(ref.decl->id)) {
             written_scalars.insert(ref.decl->id);
           }
         }
-      }
-    });
-    // Reads: any subscript appearing outside a store-target position. A
-    // conservative approximation — mark arrays read when they occur in any
-    // non-target subscript.
-    WalkStmts(*loop.body, [&](const Stmt& s) {
-      auto note_reads = [&](const Expr& e) {
-        WalkExprs(e, [&](const Expr& inner) {
-          if (inner.kind == ExprKind::kSubscript) {
-            const auto& base = As<frontend::VarRef>(
-                *As<frontend::SubscriptExpr>(inner).base);
-            read_arrays.insert(base.decl->id);
-          }
-        });
-      };
-      switch (s.kind) {
-        case StmtKind::kDecl:
-          if (As<frontend::DeclStmt>(s).init != nullptr) {
-            note_reads(*As<frontend::DeclStmt>(s).init);
-          }
-          break;
-        case StmtKind::kAssign: {
-          const auto& assign = As<frontend::AssignStmt>(s);
-          note_reads(*assign.value);
-          if (assign.target->kind == ExprKind::kSubscript) {
-            // The index expression of the target is a read context.
-            note_reads(*As<frontend::SubscriptExpr>(*assign.target).index);
-          }
-          break;
-        }
-        case StmtKind::kExpr:
-          note_reads(*As<frontend::ExprStmt>(s).expr);
-          break;
-        case StmtKind::kIf:
-          note_reads(*As<frontend::IfStmt>(s).cond);
-          break;
-        case StmtKind::kFor:
-          if (As<ForStmt>(s).cond != nullptr) {
-            note_reads(*As<ForStmt>(s).cond);
-          }
-          break;
-        case StmtKind::kWhile:
-          note_reads(*As<frontend::WhileStmt>(s).cond);
-          break;
-        default:
-          break;
       }
     });
 
@@ -465,12 +386,13 @@ class FunctionCompiler {
 
     // --- array configs ---
     for (const VarDecl* decl : array_order) {
+      const ArrayIndexes& array = indexes[decl->id];
       ArrayConfig config;
       config.decl = decl;
       config.name = decl->name;
       config.elem = ToValType(decl->type.scalar);
-      config.is_read = read_arrays.contains(decl->id);
-      config.is_written = written_arrays.contains(decl->id);
+      config.is_read = array.reads.used;
+      config.is_written = array.writes.used;
       for (const auto& red : offload.array_reds) {
         if (red.decl == decl) {
           config.is_reduction_dest = true;
@@ -488,166 +410,27 @@ class FunctionCompiler {
           }
         }
       }
-      offload.arrays.push_back(config);
-    }
-
-    // --- affine write summaries + write-locality proof (Section IV-D2) ---
-    // First summarize every write site of each array as a*i + b with one
-    // common coefficient (persisted in ArrayConfig for the runtime's
-    // boundary/interior splitter), then derive the locality proof that
-    // eliminates the miss check from the summary.
-    for (auto& config : offload.arrays) {
-      if (!config.is_written || config.is_reduction_dest) continue;
-
-      bool all_affine = true;
-      bool any_write_site = false;
-      bool saw_affine = false;
-      std::int64_t coeff = 0, min_off = 0, max_off = 0;
-      WalkStmts(*loop.body, [&](const Stmt& s) {
-        if (s.kind != StmtKind::kAssign) return;
-        const auto& assign = As<frontend::AssignStmt>(s);
-        if (assign.target->kind != ExprKind::kSubscript) return;
-        const auto& subscript =
-            As<frontend::SubscriptExpr>(*assign.target);
-        if (subscript.base->kind != ExprKind::kVarRef) return;
-        if (As<frontend::VarRef>(*subscript.base).decl != config.decl) return;
-        any_write_site = true;
-        std::int64_t a, b;
-        if (!MatchAffine(*subscript.index, *offload.induction, &a, &b)) {
-          all_affine = false;
-          return;
-        }
-        if (!saw_affine) {
-          coeff = a;
-          min_off = max_off = b;
-          saw_affine = true;
-        } else if (a != coeff) {
-          all_affine = false;
-        } else {
-          min_off = std::min(min_off, b);
-          max_off = std::max(max_off, b);
-        }
-      });
-      if (all_affine && saw_affine) {
-        config.has_affine_writes = true;
-        config.write_coeff = coeff;
-        config.write_min_off = min_off;
-        config.write_max_off = max_off;
-      }
-
-      if (!config.has_localaccess) continue;
-      if (config.cols != nullptr) {
-        // 2-D row-block window: index = i*cols + j has no constant
-        // coefficient for the affine matcher, so prove row locality
-        // symbolically (index - cols*i within [0, cols-1]) with the
-        // directive checker's polynomial machinery.
-        config.writes_proven_local =
-            any_write_site && ProveWritesRowLocal(offload, config);
-        continue;
-      }
-      std::int64_t stride = 1, left = 0, right = 0;
-      bool const_spec = true;
-      if (config.stride != nullptr) {
-        const_spec &= TryFoldConstant(*config.stride, &stride);
-      }
-      if (config.left != nullptr) {
-        const_spec &= TryFoldConstant(*config.left, &left);
-      }
-      if (config.right != nullptr) {
-        const_spec &= TryFoldConstant(*config.right, &right);
-      }
-      if (!const_spec) continue;
-      // A write site the walk could not resolve to a subscript on this array
-      // (or could not bound affinely) blocks the proof; only arrays whose
-      // every store is a bounded affine subscript inside the localaccess
-      // window are proven local.
-      config.writes_proven_local =
-          any_write_site && config.has_affine_writes && coeff == stride &&
-          min_off >= -left && max_off <= stride - 1 + right;
-    }
-
-    // --- affine read summaries ---
-    // The read-side twin of the write summary, consumed by the mid-end
-    // fusion legality analysis: every read index of the array (including
-    // compound-assignment targets, which load before storing) as a*i + b
-    // with one common coefficient.
-    for (auto& config : offload.arrays) {
-      if (!config.is_read) continue;
-      bool all_affine = true;
-      bool saw_affine = false;
-      std::int64_t coeff = 0, min_off = 0, max_off = 0;
-      auto note_read_index = [&](const Expr& index) {
-        std::int64_t a, b;
-        if (!MatchAffine(index, *offload.induction, &a, &b)) {
-          all_affine = false;
-          return;
-        }
-        if (!saw_affine) {
-          coeff = a;
-          min_off = max_off = b;
-          saw_affine = true;
-        } else if (a != coeff) {
-          all_affine = false;
-        } else {
-          min_off = std::min(min_off, b);
-          max_off = std::max(max_off, b);
-        }
-      };
-      auto note_reads_in = [&](const Expr& e) {
-        WalkExprs(e, [&](const Expr& inner) {
-          if (inner.kind != ExprKind::kSubscript) return;
-          const auto& sub = As<frontend::SubscriptExpr>(inner);
-          if (sub.base->kind != ExprKind::kVarRef) return;
-          if (As<frontend::VarRef>(*sub.base).decl != config.decl) return;
-          note_read_index(*sub.index);
-        });
-      };
-      WalkStmts(*loop.body, [&](const Stmt& s) {
-        switch (s.kind) {
-          case StmtKind::kDecl:
-            if (As<frontend::DeclStmt>(s).init != nullptr) {
-              note_reads_in(*As<frontend::DeclStmt>(s).init);
-            }
-            break;
-          case StmtKind::kAssign: {
-            const auto& assign = As<frontend::AssignStmt>(s);
-            note_reads_in(*assign.value);
-            if (assign.target->kind == ExprKind::kSubscript) {
-              const auto& sub =
-                  As<frontend::SubscriptExpr>(*assign.target);
-              note_reads_in(*sub.index);
-              if (assign.op != frontend::AssignOp::kAssign &&
-                  sub.base->kind == ExprKind::kVarRef &&
-                  As<frontend::VarRef>(*sub.base).decl == config.decl) {
-                note_read_index(*sub.index);
-              }
-            }
-            break;
-          }
-          case StmtKind::kExpr:
-            note_reads_in(*As<frontend::ExprStmt>(s).expr);
-            break;
-          case StmtKind::kIf:
-            note_reads_in(*As<frontend::IfStmt>(s).cond);
-            break;
-          case StmtKind::kFor:
-            if (As<ForStmt>(s).cond != nullptr) {
-              note_reads_in(*As<ForStmt>(s).cond);
-            }
-            break;
-          case StmtKind::kWhile:
-            note_reads_in(*As<frontend::WhileStmt>(s).cond);
-            break;
-          default:
-            break;
-        }
-      });
-      if (all_affine && saw_affine) {
+      // Affine summaries: the writes feed the runtime's boundary/interior
+      // splitter and the write-locality proof, the reads (compound-assign
+      // targets included) the mid-end's fusion legality analysis.
+      if (array.reads.Holds()) {
         config.has_affine_reads = true;
-        config.read_coeff = coeff;
-        config.read_min_off = min_off;
-        config.read_max_off = max_off;
+        config.read_coeff = array.reads.coeff;
+        config.read_min_off = array.reads.min_off;
+        config.read_max_off = array.reads.max_off;
       }
+      if (!config.is_reduction_dest) {
+        if (array.writes.Holds()) {
+          config.has_affine_writes = true;
+          config.write_coeff = array.writes.coeff;
+          config.write_min_off = array.writes.min_off;
+          config.write_max_off = array.writes.max_off;
+        }
+        config.writes_proven_local = config.is_written &&
+                                     config.has_localaccess &&
+                                     WritesProvenLocal(offload, config);
+      }
+      offload.arrays.push_back(config);
     }
 
     for (const VarDecl* decl : scalar_order) {

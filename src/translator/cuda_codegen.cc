@@ -1,5 +1,6 @@
 #include "translator/cuda_codegen.h"
 
+#include <charconv>
 #include <sstream>
 
 #include "common/error.h"
@@ -148,9 +149,11 @@ class KernelEmitter {
         return std::to_string(As<frontend::IntLiteral>(expr).value);
       case ExprKind::kFloatLiteral: {
         const auto& lit = As<frontend::FloatLiteral>(expr);
-        std::ostringstream os;
-        os << lit.value;
-        std::string text = os.str();
+        // Shortest text that reads back as the same double, so the kernel
+        // computes with the value the engine uses.
+        char buf[32];
+        const auto result = std::to_chars(buf, buf + sizeof(buf), lit.value);
+        std::string text(buf, result.ptr);
         if (text.find('.') == std::string::npos &&
             text.find('e') == std::string::npos) {
           text += ".0";

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -36,82 +35,15 @@ namespace {
 // AST helpers
 // ---------------------------------------------------------------------------
 
-void ForEachVarRef(const Expr& e,
-                   const std::function<void(const frontend::VarRef&)>& f) {
-  switch (e.kind) {
-    case ExprKind::kIntLiteral:
-    case ExprKind::kFloatLiteral:
-      return;
-    case ExprKind::kVarRef:
-      f(As<frontend::VarRef>(e));
-      return;
-    case ExprKind::kSubscript: {
-      const auto& sub = As<frontend::SubscriptExpr>(e);
-      ForEachVarRef(*sub.base, f);
-      ForEachVarRef(*sub.index, f);
-      return;
-    }
-    case ExprKind::kUnary:
-      ForEachVarRef(*As<frontend::UnaryExpr>(e).operand, f);
-      return;
-    case ExprKind::kBinary: {
-      const auto& bin = As<frontend::BinaryExpr>(e);
-      ForEachVarRef(*bin.lhs, f);
-      ForEachVarRef(*bin.rhs, f);
-      return;
-    }
-    case ExprKind::kCall:
-      for (const auto& arg : As<frontend::CallExpr>(e).args) {
-        ForEachVarRef(*arg, f);
-      }
-      return;
-    case ExprKind::kCast:
-      ForEachVarRef(*As<frontend::CastExpr>(e).operand, f);
-      return;
-    case ExprKind::kConditional: {
-      const auto& cond = As<frontend::ConditionalExpr>(e);
-      ForEachVarRef(*cond.cond, f);
-      ForEachVarRef(*cond.then_expr, f);
-      ForEachVarRef(*cond.else_expr, f);
-      return;
-    }
-  }
-}
-
 bool ExprMentionsAny(const Expr* e,
                      const std::unordered_set<const VarDecl*>& decls) {
   if (e == nullptr || decls.empty()) return false;
   bool hit = false;
-  ForEachVarRef(*e, [&](const frontend::VarRef& ref) {
-    if (decls.count(ref.decl) != 0) hit = true;
+  frontend::WalkExprs(*e, [&](const Expr& x) {
+    hit = hit || (x.kind == ExprKind::kVarRef &&
+                  decls.count(As<frontend::VarRef>(x).decl) != 0);
   });
   return hit;
-}
-
-void CollectCompounds(const Stmt& stmt,
-                      std::vector<const CompoundStmt*>* out) {
-  switch (stmt.kind) {
-    case StmtKind::kCompound: {
-      const auto& compound = As<CompoundStmt>(stmt);
-      out->push_back(&compound);
-      for (const auto& child : compound.body) CollectCompounds(*child, out);
-      return;
-    }
-    case StmtKind::kIf: {
-      const auto& ifs = As<frontend::IfStmt>(stmt);
-      CollectCompounds(*ifs.then_stmt, out);
-      if (ifs.else_stmt != nullptr) CollectCompounds(*ifs.else_stmt, out);
-      return;
-    }
-    case StmtKind::kFor:
-      CollectCompounds(*As<frontend::ForStmt>(stmt).body, out);
-      return;
-    case StmtKind::kWhile:
-      CollectCompounds(*As<frontend::WhileStmt>(stmt).body, out);
-      return;
-    default:
-      return;
-  }
 }
 
 /// Null-tolerant structural equality for directive sub-expressions, where
@@ -456,7 +388,11 @@ bool LowerRun(CompiledFunction& fn, const std::vector<int>& members,
 /// starts the next run and the refusal is counted once.
 void FuseAdjacentOffloads(CompiledFunction& fn, OptStats* stats) {
   std::vector<const CompoundStmt*> compounds;
-  CollectCompounds(*fn.function->body, &compounds);
+  frontend::WalkStmts(*fn.function->body, [&](const Stmt& s) {
+    if (s.kind == StmtKind::kCompound) {
+      compounds.push_back(&As<CompoundStmt>(s));
+    }
+  });
   std::vector<char> absorbed(fn.offloads.size(), 0);
   bool any = false;
   for (const CompoundStmt* compound : compounds) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "frontend/ast.h"
 #include "frontend/lexer.h"
 #include "frontend/parser.h"
 #include "frontend/printer.h"
@@ -255,6 +256,83 @@ void f(float* a, int n) {
 const Stmt& FirstStmt(const Program& program) {
   return *program.functions[0]->body->body[0];
 }
+
+// ---------------------------------------------------------------------------
+// The shared traversal (ast.h)
+// ---------------------------------------------------------------------------
+
+using AccessList = std::vector<std::pair<std::string, Access>>;
+
+/// Parses `stmt` as the first statement of a function over arrays a, b (float)
+/// and p, q, r (int) and returns that statement's owning program.
+std::unique_ptr<Program> AnalyzeStmt(const std::string& stmt) {
+  return Analyze("void f(int i, float s, float* a, float* b, int* p, int* q, "
+                 "int* r) {\n" +
+                 stmt + "\n}");
+}
+
+AccessList ArrayAccesses(const Stmt& stmt) {
+  AccessList out;
+  ForEachArrayAccess(stmt, [&](const SubscriptExpr& sub, Access access) {
+    out.emplace_back(As<VarRef>(*sub.base).name, access);
+  });
+  return out;
+}
+
+TEST(AstWalkTest, ClassifiesArrayAccessesShallowly) {
+  constexpr Access R = Access::kRead;
+  constexpr Access W = Access::kWrite;
+  constexpr Access RW = Access::kReadWrite;
+  const struct {
+    const char* stmt;
+    AccessList expected;
+  } cases[] = {
+      {"float x = a[i] + b[p[i]];", {{"a", R}, {"b", R}, {"p", R}}},
+      {"a[p[i]] = b[q[i]];", {{"a", W}, {"p", R}, {"b", R}, {"q", R}}},
+      {"a[p[i]] += b[i];", {{"a", RW}, {"p", R}, {"b", R}}},
+      {"s = a[i];", {{"a", R}}},
+      {"fabs(a[i]);", {{"a", R}}},
+      {";", {}},
+      {"if (a[i] > s) { b[i] = s; } else { b[p[i]] = s; }", {{"a", R}}},
+      {"for (int j = p[0]; j < q[0]; j += r[0]) { a[j] = s; }", {{"q", R}}},
+      {"for (;;) { a[i] = s; }", {}},
+      {"while (a[i] < s) { a[i] += 1.0f; }", {{"a", R}}},
+      {"{ a[i] = b[i]; }", {}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.stmt);
+    const auto program = AnalyzeStmt(c.stmt);
+    EXPECT_EQ(ArrayAccesses(FirstStmt(*program)), c.expected);
+  }
+}
+
+TEST(AstWalkTest, ForLoopVisitsCondInitStepBody) {
+  // The translator collects kernel parameters in this order, so it fixes
+  // the kernel signature.
+  const auto program = AnalyzeStmt(
+      "for (int j = p[0]; j < q[0]; j += r[0]) { a[j] = b[j]; }");
+  AccessList deep;
+  WalkStmts(FirstStmt(*program), [&](const Stmt& stmt) {
+    for (auto& access : ArrayAccesses(stmt)) deep.push_back(access);
+  });
+  EXPECT_EQ(deep, (AccessList{{"q", Access::kRead},
+                              {"p", Access::kRead},
+                              {"r", Access::kRead},
+                              {"a", Access::kWrite},
+                              {"b", Access::kRead}}));
+
+  std::vector<std::string> names;
+  WalkStmts(FirstStmt(*program), [&](const Stmt& stmt) {
+    ForEachExprInStmt(stmt, [&](const Expr& expr) {
+      if (expr.kind == ExprKind::kVarRef) {
+        names.push_back(As<VarRef>(expr).name);
+      }
+    });
+  });
+  EXPECT_EQ(names, (std::vector<std::string>{"j", "q", "p", "j", "r", "a",
+                                             "j", "b", "j"}));
+}
+
 
 TEST(PragmaTest, DataClauses) {
   const auto program = Analyze(R"(

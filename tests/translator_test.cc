@@ -20,6 +20,8 @@
 #include "frontend/parser.h"
 #include "frontend/sema.h"
 #include "ir/ir.h"
+#include "runtime/program.h"
+#include "sim/platform.h"
 #include "translator/cuda_codegen.h"
 #include "translator/eval.h"
 #include "translator/offload.h"
@@ -569,6 +571,66 @@ void f(int n, float* a) {
   EXPECT_NE(text.find("f_kernel0"), std::string::npos);
   EXPECT_NE(text.find("f_kernel1"), std::string::npos);
 }
+
+TEST(CodegenTest, FloatLiteralsKeepEveryDigit) {
+  const Compiled compiled = CompileSource(R"(
+void f(int n, double* a) {
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) {
+    a[i] = a[i] * 3.14159265358979 + 0.5;
+  }
+})");
+  const std::string cuda = GenerateCudaKernel(OnlyOffload(compiled));
+  EXPECT_NE(cuda.find(" * 3.14159265358979) + 0.5)"), std::string::npos)
+      << cuda;
+}
+
+// ---------------------------------------------------------------------------
+// Empty statements inside an offloaded loop body
+// ---------------------------------------------------------------------------
+
+class EmptyStatementTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(EmptyStatementTest, CompilesAndRunsAtEveryLevel) {
+  const std::string source = std::string(R"(
+void copy(int n, float* x, float* y) {
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) {
+    )") + GetParam() + R"(
+  }
+})";
+  constexpr int n = 300;
+  std::vector<float> x(n);
+  for (int i = 0; i < n; ++i) x[i] = 0.25f * static_cast<float>(i) - 7.0f;
+  for (int level : {0, 1, 2}) {
+    CompileOptions options;
+    options.opt_level = level;
+    const auto program =
+        runtime::AccProgram::FromSource("copy", source, options);
+    ASSERT_EQ(program.compiled().functions.at(0).offloads.size(), 1u);
+    for (int gpus : {1, 2}) {
+      auto platform = sim::MakeDesktopMachine(2);
+      std::vector<float> y(n, -1.0f);
+      runtime::ProgramRunner runner(
+          program, runtime::RunConfig{.platform = platform.get(),
+                                      .num_gpus = gpus});
+      runner.BindArray("x", x.data(), ir::ValType::kF32, n);
+      runner.BindArray("y", y.data(), ir::ValType::kF32, n);
+      runner.BindScalar("n", static_cast<std::int64_t>(n));
+      runner.Run("copy");
+      EXPECT_EQ(y, x) << "opt_level=" << level << " gpus=" << gpus;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Forms, EmptyStatementTest,
+    ::testing::Values("y[i] = x[i]; ;",
+                      "for (int k = 0; k < 2; k++) ;\n    y[i] = x[i];"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return info.index == 0 ? std::string("AfterStore")
+                             : std::string("EmptyInnerLoopBody");
+    });
 
 // ---------------------------------------------------------------------------
 // Offload fusion legality (the optimizing mid-end, translator/opt.h)
