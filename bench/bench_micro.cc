@@ -7,6 +7,7 @@
 
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "apps/md/md.h"
@@ -14,6 +15,7 @@
 #include "frontend/sema.h"
 #include "ir/builder.h"
 #include "ir/exec.h"
+#include "ir/native_tier.h"
 #include "runtime/comm_manager.h"
 #include "runtime/data_loader.h"
 #include "runtime/program.h"
@@ -40,13 +42,32 @@ ir::KernelIR BuildSaxpyKernel() {
   return builder.Build();
 }
 
-void BM_InterpreterSaxpy(benchmark::State& state) {
+/// Runs the benchmark body on one tier of the process's kernel engine:
+/// interpreted only, or native (the kernel is compiled before timing).
+class TierScope {
+ public:
+  TierScope(bool native, const ir::DecodedKernel& kernel) {
+    ir::NativeTier& tier = ir::NativeTier::Process();
+    tier.SetModeForTesting(native ? ir::NativeTier::Mode::kEager
+                                  : ir::NativeTier::Mode::kOff);
+    if (native && !tier.BuildNowForTesting(kernel)) {
+      throw std::runtime_error("native build failed");
+    }
+  }
+  ~TierScope() {
+    ir::NativeTier::Process().SetModeForTesting(
+        ir::NativeTier::Mode::kTiered);
+  }
+};
+
+void Saxpy(benchmark::State& state, bool native) {
   const auto n = static_cast<std::int64_t>(state.range(0));
   static const ir::KernelIR kernel = BuildSaxpyKernel();
   std::vector<float> x(static_cast<std::size_t>(n), 1.0f);
   std::vector<float> y(static_cast<std::size_t>(n), 2.0f);
 
   static const ir::DecodedKernel decoded(kernel);
+  const TierScope tier(native, decoded);
   ir::KernelExec exec(decoded);
   for (auto& binding : exec.bindings) {
     binding.lo = 0;
@@ -66,14 +87,17 @@ void BM_InterpreterSaxpy(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
+void BM_InterpreterSaxpy(benchmark::State& state) { Saxpy(state, false); }
+void BM_NativeSaxpy(benchmark::State& state) { Saxpy(state, true); }
 BENCHMARK(BM_InterpreterSaxpy)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_NativeSaxpy)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 // The md kernel, translated from its OpenACC source: per thread a loop over
 // 128 neighbours with index loads, float math rounded to f32 after every op
 // and a data-dependent cutoff `if`. Unlike saxpy it exercises block
 // boundaries, back-edges and fused arithmetic+round pairs. Items are
 // neighbour interactions.
-void BM_InterpreterMdInner(benchmark::State& state) {
+void MdInner(benchmark::State& state, bool native) {
   const int atoms = static_cast<int>(state.range(0));
   constexpr int kMaxNeigh = 128;
   static const runtime::AccProgram program =
@@ -84,6 +108,7 @@ void BM_InterpreterMdInner(benchmark::State& state) {
   apps::MdInput input = apps::MakeMdInput(atoms, kMaxNeigh);
   std::vector<float> force(3 * static_cast<std::size_t>(atoms), 0.0f);
 
+  const TierScope tier(native, offload.decoded);
   ir::KernelExec exec(offload.decoded);
   auto bind = [&](const char* name, void* data, std::int64_t count) {
     ir::ArrayBinding& binding =
@@ -113,7 +138,10 @@ void BM_InterpreterMdInner(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * atoms * kMaxNeigh);
 }
+void BM_InterpreterMdInner(benchmark::State& state) { MdInner(state, false); }
+void BM_NativeMdInner(benchmark::State& state) { MdInner(state, true); }
 BENCHMARK(BM_InterpreterMdInner)->Arg(1 << 10)->Arg(1 << 13);
+BENCHMARK(BM_NativeMdInner)->Arg(1 << 10)->Arg(1 << 13);
 
 // --- frontend throughput -----------------------------------------------------
 

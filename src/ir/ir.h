@@ -21,15 +21,14 @@
 #include <string>
 #include <vector>
 
-namespace accmg::ir {
+#include "ir/kernel_ops.h"  // ValType, RedOp
 
-enum class ValType : std::uint8_t { kI32, kI64, kF32, kF64 };
+namespace accmg::ir {
 
 std::size_t ValTypeSize(ValType t);
 const char* ValTypeName(ValType t);
 bool IsFloat(ValType t);
 
-enum class RedOp : std::uint8_t { kAdd, kMul, kMin, kMax };
 const char* RedOpName(RedOp op);
 
 enum class Opcode : std::uint8_t {

@@ -94,8 +94,11 @@ class KernelEmitter {
                 "_missbuf, int* " + config.name + "_misscount";
       }
       if (param.dirty_tracked) {
+        // The level-2 chunk size is the loader's (its dirty_chunk_bytes
+        // over the element size), known only at launch.
         decl += ", unsigned char* " + config.name +
-                "_dirty1, unsigned char* " + config.name + "_dirty2";
+                "_dirty1, unsigned char* " + config.name +
+                "_dirty2, long long " + config.name + "_chunk_elems";
       }
       params.push_back(decl);
     }
@@ -378,7 +381,8 @@ class KernelEmitter {
     if (param.dirty_tracked) {
       // Two-level dirty bits (Section IV-D1).
       Line(base.name + "_dirty1[" + index + "] = 1;");
-      Line(base.name + "_dirty2[(" + index + ") / ACCMG_CHUNK_ELEMS] = 1;");
+      Line(base.name + "_dirty2[(" + index + ") / " + base.name +
+           "_chunk_elems] = 1;");
     }
   }
 
