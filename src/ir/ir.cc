@@ -1,5 +1,6 @@
 #include "ir/ir.h"
 
+#include <charconv>
 #include <sstream>
 
 #include "common/error.h"
@@ -170,7 +171,10 @@ std::string Print(const KernelIR& kernel) {
     if (IsBranch(in.op)) {
       os << " -> " << in.imm.i;
     } else if (HasFloatImm(in.op)) {
-      os << " #" << in.imm.f;
+      // Shortest text that reads back as the same double.
+      char text[32];
+      const auto end = std::to_chars(text, text + sizeof(text), in.imm.f).ptr;
+      os << " #" << std::string_view(text, static_cast<std::size_t>(end - text));
     } else if (in.op == Opcode::kConstI || in.op == Opcode::kRedScalar ||
                in.op == Opcode::kRedArray) {
       os << " #" << in.imm.i;

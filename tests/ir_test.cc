@@ -123,6 +123,19 @@ TEST(PrinterTest, RendersReadableListing) {
   EXPECT_NE(text.find("store @y"), std::string::npos);
 }
 
+// Float immediates print in their shortest round-trip form, so the
+// listing names the exact double the kernel computes with.
+TEST(PrinterTest, FloatImmediatesKeepEveryDigit) {
+  KernelBuilder builder("pi");
+  const int slot =
+      builder.AddScalarReduction("out", RedOp::kAdd, ValType::kF64);
+  builder.RedScalar(slot, builder.ConstF(3.14159265358979));
+  builder.RedScalar(slot, builder.ConstF(0.1));
+  const std::string text = Print(builder.Build());
+  EXPECT_NE(text.find("#3.14159265358979\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("#0.1\n"), std::string::npos) << text;
+}
+
 // ---------------------------------------------------------------------------
 // Interpreter arithmetic
 // ---------------------------------------------------------------------------
