@@ -6,8 +6,8 @@
 #   2. every `--flag` mentioned in backticks appears in a source file,
 #   3. every metric name with a known instrument prefix (sim., comm.,
 #      loader., executor., accmgc., validator., service., fault.,
-#      recovery., mapper.) resolves to a real string literal in src/ or
-#      tools/,
+#      recovery., mapper., native.) resolves to a real string literal in
+#      src/ or tools/,
 #   4. the README documentation index links every doc under docs/.
 #
 # Exits non-zero listing every stale reference, so renaming a flag or a
@@ -44,7 +44,7 @@ done
 note "checked $(printf '%s\n' "$flags" | wc -l) documented flags"
 
 # --- 3. documented metric names exist as string literals --------------
-metrics=$(grep -ohE '`(sim|comm|loader|executor|accmgc|opt|validator|service|fault|recovery|mapper)\.[a-z0-9_.]+`' "${docs[@]}" |
+metrics=$(grep -ohE '`(sim|comm|loader|executor|accmgc|opt|validator|service|fault|recovery|mapper|native)\.[a-z0-9_.]+`' "${docs[@]}" |
   tr -d '`' | sort -u)
 for metric in $metrics; do
   if ! grep -rqF -- "\"$metric\"" src/ tools/; then
