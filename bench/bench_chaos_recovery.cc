@@ -18,11 +18,11 @@
 // The process exits nonzero when the accounting identity
 // fault.injected == recovery.retries + recovery.degraded +
 // recovery.failures breaks or when a faulted level completes zero jobs —
-// either means recovery regressed, and CI's perf-smoke treats it as a
-// failure.
+// either means recovery regressed, and the ctest check
+// smoke.bench_chaos_recovery treats it as a failure.
 //
 // Usage: bench_chaos_recovery [--quick] [--out=<path>]
-//   --quick  fewer jobs per level (CI smoke)
+//   --quick  fewer jobs per level (smoke check)
 //   --out    write the JSON object to <path> (always printed to stdout)
 #include <cstdint>
 #include <cstring>

@@ -1,7 +1,7 @@
 // Wall-clock benchmark for the coherence hot paths, comparing the optimized
 // implementations (word-level dirty scanning + span coalescing + thread-pool
 // fan-out, sorted miss replay, pairwise-tree reduction) against the serial
-// element-at-a-time references in src/runtime/comm_reference.h.
+// element-at-a-time references in tests/support/comm_reference.h.
 //
 // Both versions bill identical simulated transfers (enforced by
 // tests/comm_equivalence_test.cc); this bench measures only the host-side
@@ -11,7 +11,7 @@
 //     "speedup": ...}, ...]
 //
 // Usage: bench_comm_hotpath [--quick] [--out=<path>]
-//   --quick  smaller arrays and fewer repetitions (CI smoke job)
+//   --quick  smaller arrays and fewer repetitions (smoke check)
 //   --out    write the JSON array to <path> (always printed to stdout too)
 #include <algorithm>
 #include <cstdint>
@@ -27,11 +27,11 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "runtime/comm_manager.h"
-#include "runtime/comm_reference.h"
 #include "runtime/data_loader.h"
 #include "runtime/managed_array.h"
 #include "runtime/reduction.h"
 #include "sim/platform.h"
+#include "support/comm_reference.h"
 
 namespace accmg::runtime {
 namespace {

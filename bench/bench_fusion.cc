@@ -20,7 +20,7 @@
 // jacobi_heat injection loop must actually fuse; on >= 2 GPUs the fused
 // jacobi_heat run must bill strictly fewer offload rounds and strictly
 // fewer GPU-GPU bytes; no workload may ever bill MORE traffic when fused.
-// Exit code 1 on any violation — CI runs this as the opt-smoke gate.
+// Exit code 1 on any violation — ctest runs this as smoke.bench_fusion.
 //
 // Usage:
 //   bench_fusion                 print the comparison table

@@ -21,7 +21,7 @@
 //    the platform (sim::Platform::Fork). Any mismatch fails the process.
 //
 // Usage: bench_serve_saturation [--quick] [--out=<path>]
-//   --quick  fewer jobs (CI smoke)
+//   --quick  fewer jobs (smoke check)
 //   --out    write the JSON object to <path> (always printed to stdout)
 #include <cstring>
 #include <fstream>

@@ -174,7 +174,7 @@ JobRequest MakeKmeansJob(const AppJobOptions& options,
     std::string detail;
     const apps::KmeansResult want = apps::KmeansReference(state->input);
     // Chunked float reductions reorder centroid sums; memberships must
-    // still match exactly, centroids up to the smoke tolerance.
+    // still match exactly, centroids up to ValidatedAppsTest's tolerance.
     bool ok = IntsEqual(state->membership, want.membership, &detail);
     if (ok) ok = FloatsClose(state->centroids, want.centroids, 2e-3, &detail);
     FinishOutcome(outcome, true, ok, std::move(detail));

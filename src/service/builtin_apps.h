@@ -1,7 +1,7 @@
 // Adapters that turn the builtin SHOC apps (md, kmeans, bfs, spmv) into
 // service JobRequests. Used by the serving front-end (tools/accmgc_serve.cc),
-// the saturation benchmark and the CI serve-smoke — one place that knows how
-// each app binds its host arrays.
+// the saturation benchmark and the smoke.serve_drive check — one place that
+// knows how each app binds its host arrays.
 //
 // Each request's closures own the app's input and output storage
 // (shared_ptr state), so the job is self-contained: submit it and forget
@@ -27,7 +27,7 @@ struct AppJobOptions {
   /// Diff the job's outputs against the app's native reference in
   /// on_finish (float outputs compared with a relative tolerance, integer
   /// outputs exactly; kmeans centroids use the looser 2e-3 of
-  /// tools/validate_smoke.cc since chunked reductions reorder float sums).
+  /// ValidatedAppsTest since chunked reductions reorder float sums).
   bool validate_result = false;
 
   runtime::ExecOptions exec;

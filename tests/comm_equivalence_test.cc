@@ -4,7 +4,7 @@
 // write pattern to both, then runs the optimized path (word-level dirty
 // scanning + span coalescing + thread-pool fan-out, sorted miss replay,
 // pairwise-tree reduction) on one and the straightforward reference
-// implementation (src/runtime/comm_reference.h) on the other. The optimized
+// implementation (tests/support/comm_reference.h) on the other. The optimized
 // paths must be pure wall-clock improvements: bit-identical final array
 // contents AND identical billed bytes, transfer counts, and simulated time.
 #include <gtest/gtest.h>
@@ -15,12 +15,12 @@
 
 #include "common/rng.h"
 #include "runtime/comm_manager.h"
-#include "runtime/comm_reference.h"
 #include "runtime/data_loader.h"
 #include "runtime/managed_array.h"
 #include "runtime/program.h"
 #include "runtime/reduction.h"
 #include "sim/platform.h"
+#include "support/comm_reference.h"
 
 namespace accmg::runtime {
 namespace {

@@ -6,8 +6,8 @@
 #include "frontend/ast.h"
 #include "frontend/lexer.h"
 #include "frontend/parser.h"
-#include "frontend/printer.h"
 #include "frontend/sema.h"
+#include "support/printer.h"
 
 namespace accmg::frontend {
 namespace {

@@ -9,8 +9,8 @@
 #include "apps/md/md.h"
 #include "apps/spmv/spmv.h"
 #include "frontend/parser.h"
-#include "frontend/printer.h"
 #include "frontend/sema.h"
+#include "support/printer.h"
 #include "translator/offload.h"
 
 namespace accmg::frontend {

@@ -9,18 +9,25 @@
 //     coherence machinery cannot see;
 //   * a one-ulp perturbation of a float reduction is a divergence: the
 //     golden run replays the executor's launch geometry and fold order;
-//   * all four applications run divergence-free under validation on 1, 2
-//     and 4 GPUs.
+//   * all six applications run divergence-free under validation, and match
+//     their native references, on 1, 2 and 4 GPUs under each of four option
+//     sets: mid-end level 1, level 1 with the async pipeline, level 2, and
+//     level 2 with the measured task mapper.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include "apps/bfs/bfs.h"
+#include "apps/heat2d/heat2d.h"
 #include "apps/kmeans/kmeans.h"
+#include "apps/lattice/lattice.h"
 #include "apps/md/md.h"
 #include "apps/spmv/spmv.h"
 #include "common/error.h"
@@ -506,91 +513,133 @@ TEST(ValidatorTest, OneUlpReductionDivergenceIsReported) {
 // All applications, divergence-free under validation
 // ---------------------------------------------------------------------------
 
-class ValidatedAppsTest : public ::testing::TestWithParam<int> {};
+// One validated run: a GPU count under one of the option sets the apps are
+// swept with. Each instantiation below is one option set; the printed value
+// (and so the ctest name's last component) is the GPU count.
+struct ValidatedCase {
+  int gpus;
+  int opt_level;
+  bool async_pipeline;
+  TaskMapper mapper;
+};
+
+void PrintTo(const ValidatedCase& c, std::ostream* os) { *os << c.gpus; }
+
+class ValidatedAppsTest : public ::testing::TestWithParam<ValidatedCase> {
+ protected:
+  ExecOptions Options() const {
+    ExecOptions options;
+    options.validate = true;
+    options.async_pipeline = GetParam().async_pipeline;
+    options.mapper = GetParam().mapper;
+    return options;
+  }
+  translator::CompileOptions CompileOpts() const {
+    translator::CompileOptions copts;
+    copts.opt_level = GetParam().opt_level;
+    return copts;
+  }
+  static void ExpectClean(const RunReport& report) {
+    EXPECT_GT(report.validator.kernels_checked, 0u);
+    EXPECT_EQ(report.validator.divergences, 0u);
+  }
+  std::unique_ptr<sim::Platform> platform_ = sim::MakeSupercomputerNode(4);
+};
 
 TEST_P(ValidatedAppsTest, MdRunsClean) {
-  const int gpus = GetParam();
-  auto platform = sim::MakeSupercomputerNode(4);
-  ExecOptions options;
-  options.validate = true;
-  const apps::MdInput input = apps::MakeMdInput(256, 8);
+  const apps::MdInput input = apps::MakeMdInput(512, 12);
   const std::vector<float> expected = apps::MdReference(input);
   std::vector<float> force;
-  const RunReport report =
-      apps::RunMdAcc(input, *platform, gpus, &force, options);
-  EXPECT_GT(report.validator.kernels_checked, 0u);
-  EXPECT_EQ(report.validator.divergences, 0u);
+  ExpectClean(apps::RunMdAcc(input, *platform_, GetParam().gpus, &force,
+                             Options(), CompileOpts()));
   ASSERT_EQ(force.size(), expected.size());
   for (std::size_t i = 0; i < force.size(); ++i) {
     ASSERT_EQ(force[i], expected[i]) << "component " << i;
   }
 }
 
-// kmeans' float reductions are compared bit for bit, so the golden run must
-// replay each schedule's launch geometry: BSP, the async pipeline and the
-// measured mapper's proportional split.
+// kmeans' float reductions are compared bit for bit by the validator, so the
+// golden run must replay each schedule's launch geometry: BSP, the async
+// pipeline and the measured mapper's proportional split. Against the
+// sequential reference, chunked reductions reorder the float sums.
 TEST_P(ValidatedAppsTest, KmeansRunsClean) {
-  const int gpus = GetParam();
-  const apps::KmeansInput input = apps::MakeKmeansInput(600, 4, 3, 5);
+  const apps::KmeansInput input = apps::MakeKmeansInput(800, 4, 4, 7);
   const apps::KmeansResult expected = apps::KmeansReference(input);
-  for (const char* schedule : {"bsp", "async", "measured"}) {
-    SCOPED_TRACE(schedule);
-    auto platform = sim::MakeSupercomputerNode(4);
-    ExecOptions options;
-    options.validate = true;
-    options.async_pipeline = std::string(schedule) == "async";
-    if (std::string(schedule) == "measured") {
-      options.mapper = TaskMapper::kMeasured;
-    }
-    apps::KmeansResult result;
-    const RunReport report =
-        apps::RunKmeansAcc(input, *platform, gpus, &result, options);
-    EXPECT_GT(report.validator.kernels_checked, 0u);
-    EXPECT_EQ(report.validator.divergences, 0u);
-    EXPECT_EQ(result.membership, expected.membership);
-    for (std::size_t i = 0; i < result.centroids.size(); ++i) {
-      EXPECT_NEAR(result.centroids[i], expected.centroids[i],
-                  2e-3 * (1.0 + std::fabs(expected.centroids[i])))
-          << "centroid component " << i;
-    }
+  apps::KmeansResult result;
+  ExpectClean(apps::RunKmeansAcc(input, *platform_, GetParam().gpus, &result,
+                                 Options(), CompileOpts()));
+  EXPECT_EQ(result.membership, expected.membership);
+  ASSERT_EQ(result.centroids.size(), expected.centroids.size());
+  for (std::size_t i = 0; i < result.centroids.size(); ++i) {
+    EXPECT_NEAR(result.centroids[i], expected.centroids[i],
+                2e-3 * (1.0 + std::fabs(expected.centroids[i])))
+        << "centroid component " << i;
   }
 }
 
 TEST_P(ValidatedAppsTest, BfsRunsClean) {
-  const int gpus = GetParam();
-  auto platform = sim::MakeSupercomputerNode(4);
-  ExecOptions options;
-  options.validate = true;
-  const apps::BfsInput input = apps::MakeBfsInput(500, 4);
+  const apps::BfsInput input = apps::MakeBfsInput(1000, 4);
   const std::vector<std::int32_t> expected = apps::BfsReference(input);
   std::vector<std::int32_t> cost;
-  const RunReport report =
-      apps::RunBfsAcc(input, *platform, gpus, &cost, options);
-  EXPECT_GT(report.validator.kernels_checked, 0u);
-  EXPECT_EQ(report.validator.divergences, 0u);
+  ExpectClean(apps::RunBfsAcc(input, *platform_, GetParam().gpus, &cost,
+                              Options(), CompileOpts()));
   EXPECT_EQ(cost, expected);
 }
 
 TEST_P(ValidatedAppsTest, SpmvRunsClean) {
-  const int gpus = GetParam();
-  auto platform = sim::MakeSupercomputerNode(4);
-  ExecOptions options;
-  options.validate = true;
-  const apps::SpmvInput input = apps::MakeSpmvInput(400, 6);
+  const apps::SpmvInput input = apps::MakeSpmvInput(600, 8);
   const std::vector<float> expected = apps::SpmvReference(input);
   std::vector<float> y;
-  const RunReport report =
-      apps::RunSpmvAcc(input, *platform, gpus, &y, options);
-  EXPECT_GT(report.validator.kernels_checked, 0u);
-  EXPECT_EQ(report.validator.divergences, 0u);
+  ExpectClean(apps::RunSpmvAcc(input, *platform_, GetParam().gpus, &y,
+                               Options(), CompileOpts()));
   ASSERT_EQ(y.size(), expected.size());
   for (std::size_t r = 0; r < y.size(); ++r) {
     ASSERT_EQ(y[r], expected[r]) << "row " << r;
   }
 }
 
+TEST_P(ValidatedAppsTest, Heat2dRunsClean) {
+  const apps::Heat2dInput input = apps::MakeHeat2dInput(41, 14, 5);
+  const std::vector<float> expected = apps::Heat2dReference(input);
+  std::vector<float> u;
+  ExpectClean(apps::RunHeat2dAcc(input, *platform_, GetParam().gpus, &u,
+                                 Options(), CompileOpts()));
+  EXPECT_EQ(u, expected);
+}
+
+TEST_P(ValidatedAppsTest, LatticeRunsClean) {
+  const apps::LatticeInput input = apps::MakeLatticeInput(33, 11, 4);
+  const std::vector<float> expected = apps::LatticeReference(input);
+  std::vector<float> phi;
+  ExpectClean(apps::RunLatticeAcc(input, *platform_, GetParam().gpus, &phi,
+                                  Options(), CompileOpts()));
+  EXPECT_EQ(phi, expected);
+}
+
+/// 1, 2 and 4 GPUs under one option set.
+std::vector<ValidatedCase> GpuSweep(int opt_level, bool async_pipeline,
+                                    TaskMapper mapper) {
+  std::vector<ValidatedCase> cases;
+  for (const int gpus : {1, 2, 4}) {
+    cases.push_back({gpus, opt_level, async_pipeline, mapper});
+  }
+  return cases;
+}
+
+// The default options (mid-end level 1, bulk-synchronous, equal split) keep
+// the suite's original instantiation name.
 INSTANTIATE_TEST_SUITE_P(GpuCounts, ValidatedAppsTest,
-                         ::testing::Values(1, 2, 4));
+                         ::testing::ValuesIn(GpuSweep(
+                             1, false, TaskMapper::kEqual)));
+INSTANTIATE_TEST_SUITE_P(Async, ValidatedAppsTest,
+                         ::testing::ValuesIn(GpuSweep(
+                             1, true, TaskMapper::kEqual)));
+INSTANTIATE_TEST_SUITE_P(O2, ValidatedAppsTest,
+                         ::testing::ValuesIn(GpuSweep(
+                             2, false, TaskMapper::kEqual)));
+INSTANTIATE_TEST_SUITE_P(O2Measured, ValidatedAppsTest,
+                         ::testing::ValuesIn(GpuSweep(
+                             2, false, TaskMapper::kMeasured)));
 
 }  // namespace
 }  // namespace accmg::runtime

@@ -8,10 +8,13 @@
 #      loader., executor., accmgc., validator., service., fault.,
 #      recovery., mapper., native.) resolves to a real string literal in
 #      src/ or tools/,
-#   4. the README documentation index links every doc under docs/.
+#   4. the README documentation index links every doc under docs/,
+#   5. every CI job name in backticks (a hyphenated name ending in -smoke,
+#      -test or -check) is a job of .github/workflows/ci.yml, and every
+#      `smoke.*` ctest name is registered in tests/CMakeLists.txt.
 #
-# Exits non-zero listing every stale reference, so renaming a flag or a
-# metric without updating the docs fails CI.
+# Exits non-zero listing every stale reference, so renaming a flag, a
+# metric, a CI job or a smoke test without updating the docs fails CI.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -60,6 +63,26 @@ for doc in docs/*.md; do
   fi
 done
 note "checked README documentation index"
+
+# --- 5. CI jobs and smoke tests named in the docs exist ---------------
+ci_jobs=$(awk '/^jobs:/ { in_jobs = 1; next }
+               in_jobs && /^  [a-z0-9_-]+:$/ { sub(/:$/, ""); print $1 }' \
+  .github/workflows/ci.yml)
+jobs=$(grep -ohE '`[a-z][a-z0-9]*(-[a-z0-9]+)*-(smoke|test|check)`' "${docs[@]}" |
+  tr -d '`' | sort -u)
+for job in $jobs; do
+  if ! printf '%s\n' "$ci_jobs" | grep -qxF -- "$job"; then
+    err "documented CI job is not defined in ci.yml: $job"
+  fi
+done
+smoke_tests=$(grep -ohE '`smoke\.[a-z0-9_]+`' "${docs[@]}" | tr -d '`' | sort -u)
+for test in $smoke_tests; do
+  if ! grep -qE -- "NAME ${test//./\\.}( |\$)" tests/CMakeLists.txt; then
+    err "documented smoke test is not registered in tests/CMakeLists.txt: $test"
+  fi
+done
+note "checked $(printf '%s\n' "$jobs" | grep -c .) CI job and" \
+  "$(printf '%s\n' "$smoke_tests" | grep -c .) smoke test names"
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED" >&2
